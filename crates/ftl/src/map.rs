@@ -72,13 +72,22 @@ struct LunAlloc {
     blocks: Vec<BlockInfo>,
 }
 
+/// Marks an unmapped slot in either direction of the page map.
+const UNMAPPED: u32 = u32::MAX;
+
 /// The logical-to-physical map plus allocation state.
+///
+/// Both directions are flat `u32` arrays. A physical page is stored as its
+/// dense index `lun·pages_per_lun + block·pages_per_block + page`;
+/// `l2p[lpn]` holds that index and `p2l[index]` holds the logical page,
+/// each `u32::MAX` when empty. That is 4 B per logical page plus 4 B per
+/// physical page, and every write is two array stores.
 #[derive(Debug, Clone)]
 pub struct PageMap {
     geometry: Geometry,
     luns: u32,
-    l2p: Vec<Option<Ppn>>,
-    p2l: std::collections::BTreeMap<Ppn, u64>,
+    l2p: Vec<u32>,
+    p2l: Vec<u32>,
     alloc: Vec<LunAlloc>,
     next_lun: u32,
     /// GC kicks in when a LUN's free-block count drops below this.
@@ -88,11 +97,21 @@ pub struct PageMap {
 impl PageMap {
     /// Creates a map over `luns` LUNs of `geometry`, exporting
     /// `logical_pages` logical pages (must leave over-provisioning room).
+    ///
+    /// # Panics
+    ///
+    /// Panics without the over-provisioning room, or if the physical or
+    /// logical page count does not fit below the `u32` sentinel.
     pub fn new(geometry: Geometry, luns: u32, logical_pages: u64) -> Self {
         let physical = geometry.pages_per_lun() * luns as u64;
         assert!(
             logical_pages <= physical * 9 / 10,
             "need at least ~10% over-provisioning ({logical_pages} of {physical})"
+        );
+        assert!(
+            physical < u64::from(UNMAPPED) && logical_pages < u64::from(UNMAPPED),
+            "page map indexes are u32: {physical} physical and {logical_pages} logical \
+             pages must both stay below {UNMAPPED}"
         );
         let alloc = (0..luns)
             .map(|_| LunAlloc {
@@ -112,8 +131,8 @@ impl PageMap {
         PageMap {
             geometry,
             luns,
-            l2p: vec![None; logical_pages as usize],
-            p2l: std::collections::BTreeMap::new(),
+            l2p: vec![UNMAPPED; logical_pages as usize],
+            p2l: vec![UNMAPPED; physical as usize],
             alloc,
             next_lun: 0,
             gc_threshold: 2,
@@ -127,7 +146,30 @@ impl PageMap {
 
     /// Looks up the physical location of a logical page.
     pub fn translate(&self, lpn: u64) -> Option<Ppn> {
-        self.l2p.get(lpn as usize).copied().flatten()
+        match self.l2p.get(lpn as usize) {
+            Some(&idx) if idx != UNMAPPED => Some(self.ppn_of(idx)),
+            _ => None,
+        }
+    }
+
+    /// The dense physical index of `ppn`. [`PageMap::new`] bounds every
+    /// index below [`UNMAPPED`], so the `u32` arithmetic cannot overflow.
+    fn index_of(&self, ppn: Ppn) -> u32 {
+        let per_lun = self.geometry.pages_per_lun() as u32;
+        ppn.lun * per_lun + ppn.block * self.geometry.pages_per_block + ppn.page
+    }
+
+    /// The physical page at dense index `idx` (inverse of
+    /// [`PageMap::index_of`]).
+    fn ppn_of(&self, idx: u32) -> Ppn {
+        let per_lun = self.geometry.pages_per_lun() as u32;
+        let per_block = self.geometry.pages_per_block;
+        let within = idx % per_lun;
+        Ppn {
+            lun: idx / per_lun,
+            block: within / per_block,
+            page: within % per_block,
+        }
     }
 
     /// Erased blocks ready to open on `lun`. The active block is **not**
@@ -197,8 +239,9 @@ impl PageMap {
             a.active = None;
         }
         let ppn = Ppn { lun, block, page };
-        self.l2p[lpn as usize] = Some(ppn);
-        self.p2l.insert(ppn, lpn);
+        let idx = self.index_of(ppn);
+        self.l2p[lpn as usize] = idx;
+        self.p2l[idx as usize] = lpn as u32;
         ppn
     }
 
@@ -223,8 +266,10 @@ impl PageMap {
 
     /// Removes the mapping of `lpn`, marking its physical page invalid.
     pub fn invalidate(&mut self, lpn: u64) {
-        if let Some(old) = self.l2p[lpn as usize].take() {
-            self.p2l.remove(&old);
+        let old = std::mem::replace(&mut self.l2p[lpn as usize], UNMAPPED);
+        if old != UNMAPPED {
+            self.p2l[old as usize] = UNMAPPED;
+            let old = self.ppn_of(old);
             self.alloc[old.lun as usize].blocks[old.block as usize].valid -= 1;
         }
     }
@@ -236,23 +281,13 @@ impl PageMap {
         let victim = (0..self.geometry.blocks_per_lun())
             .filter(|&b| a.blocks[b as usize].state == BlockState::Full)
             .min_by_key(|&b| a.blocks[b as usize].valid)?;
-        let moves = (0..self.geometry.pages_per_block)
-            .filter_map(|page| {
-                let ppn = Ppn {
-                    lun,
-                    block: victim,
-                    page,
-                };
-                self.p2l.get(&ppn).map(|&lpn| (lpn, ppn))
-            })
-            .collect();
         Some(GcPlan {
             victim: Ppn {
                 lun,
                 block: victim,
                 page: 0,
             },
-            moves,
+            moves: self.block_moves(lun, victim),
         })
     }
 
@@ -392,11 +427,16 @@ impl PageMap {
     /// `(logical page, current physical page)` — [`GcPlan::moves`] for an
     /// arbitrary block (wear migration, post-failure evacuation).
     pub fn block_moves(&self, lun: u32, block: u32) -> Vec<(u64, Ppn)> {
-        (0..self.geometry.pages_per_block)
-            .filter_map(|page| {
-                let ppn = Ppn { lun, block, page };
-                self.p2l.get(&ppn).map(|&lpn| (lpn, ppn))
-            })
+        let first = self.index_of(Ppn {
+            lun,
+            block,
+            page: 0,
+        }) as usize;
+        let pages = &self.p2l[first..first + self.geometry.pages_per_block as usize];
+        (0u32..)
+            .zip(pages)
+            .filter(|&(_, &lpn)| lpn != UNMAPPED)
+            .map(|(page, &lpn)| (u64::from(lpn), Ppn { lun, block, page }))
             .collect()
     }
 
@@ -510,6 +550,59 @@ mod tests {
     #[should_panic(expected = "over-provisioning")]
     fn rejects_full_logical_mapping() {
         PageMap::new(Geometry::tiny(), 2, 128);
+    }
+
+    #[test]
+    #[should_panic(expected = "page map indexes are u32")]
+    fn rejects_physical_pages_reaching_the_sentinel() {
+        // 2^16 pages × 2^16 blocks = 2^32 physical pages on one LUN: the
+        // last dense index would collide with the unmapped sentinel.
+        let geometry = Geometry {
+            pages_per_block: 1 << 16,
+            blocks_per_plane: 1 << 16,
+            planes: 1,
+            ..Geometry::tiny()
+        };
+        PageMap::new(geometry, 1, 1);
+    }
+
+    /// The largest shipped geometry: 8 Fig. 12 ways, 1.86 M logical pages
+    /// preloaded. Every LPN lands on its own physical page, and the dense
+    /// reverse map gives back exactly the LPNs that translate into each
+    /// sampled block, in page order.
+    #[test]
+    fn fig12_preload_is_a_bijection_onto_its_pages() {
+        let cfg = crate::SsdConfig::fig12(8);
+        let geometry = cfg.geometry;
+        let mut ssd = crate::Ssd::new(cfg);
+        ssd.preload();
+        let m = ssd.map();
+        let per_block = u64::from(geometry.pages_per_block);
+        let slot = |p: Ppn| {
+            (u64::from(p.lun) * geometry.pages_per_lun()
+                + u64::from(p.block) * per_block
+                + u64::from(p.page)) as usize
+        };
+        let physical = geometry.pages_per_lun() * u64::from(m.luns());
+        let mut owner = vec![u64::MAX; physical as usize];
+        for lpn in 0..m.logical_pages() {
+            let ppn = m.translate(lpn).expect("preload maps every LPN");
+            assert_eq!(owner[slot(ppn)], u64::MAX, "{ppn:?} mapped twice");
+            owner[slot(ppn)] = lpn;
+        }
+        let last = geometry.blocks_per_lun() - 1;
+        // Linear preload fills blocks in id order: this one is half full.
+        let partial = (m.logical_pages() / u64::from(m.luns()) / per_block) as u32;
+        for (lun, block) in [(0, 0), (3, 17), (1, partial), (7, last / 2), (7, last)] {
+            let expect: Vec<(u64, Ppn)> = (0..geometry.pages_per_block)
+                .map(|page| Ppn { lun, block, page })
+                .filter(|&p| owner[slot(p)] != u64::MAX)
+                .map(|p| (owner[slot(p)], p))
+                .collect();
+            assert_eq!(m.block_moves(lun, block), expect, "LUN {lun} block {block}");
+        }
+        let half = m.block_moves(1, partial).len();
+        assert!(half > 0 && half < per_block as usize, "{half} pages valid");
     }
 
     /// Bugfix regression: `needs_gc` and `free_blocks` share one

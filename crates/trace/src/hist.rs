@@ -22,19 +22,19 @@ pub struct Histogram {
 
 impl Default for Histogram {
     fn default() -> Self {
+        Histogram::new()
+    }
+}
+
+impl Histogram {
+    /// Creates an empty histogram.
+    pub const fn new() -> Self {
         Histogram {
             buckets: [0; BUCKETS],
             count: 0,
             sum_ps: 0,
             max_ps: 0,
         }
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
     }
 
     #[inline]
@@ -138,9 +138,10 @@ impl Histogram {
     }
 
     /// Loads the summary fields after [`Histogram::load_bucket`] calls,
-    /// cross-checking that the bucket counts add up to `count`.
+    /// cross-checking that the bucket counts add up to `count` and that an
+    /// empty histogram has a zero sum and maximum.
     pub(crate) fn load_summary(&mut self, count: u64, sum_ps: u128, max_ps: u64) -> Result<(), ()> {
-        if self.buckets.iter().sum::<u64>() != count {
+        if self.buckets.iter().sum::<u64>() != count || (count == 0 && (sum_ps, max_ps) != (0, 0)) {
             return Err(());
         }
         self.count = count;

@@ -6,11 +6,13 @@
 //!
 //! * **Latency observations** — each completed host op is routed to the
 //!   frame containing its *completion* timestamp and recorded into that
-//!   frame's [`Histogram`]. Because routing is by timestamp, merging the
-//!   per-window histograms reproduces the whole-run histogram exactly
-//!   (bucket-for-bucket — the property test in `tests/properties.rs`
-//!   checks this), and ops harvested slightly after the simulator crossed
-//!   a boundary still land in the right window.
+//!   frame's [`Histogram`], which the frame allocates on its first record
+//!   (shard hubs only count ops, so their frames never allocate one).
+//!   Because routing is by timestamp, merging the per-window histograms
+//!   reproduces the whole-run histogram exactly (bucket-for-bucket — the
+//!   property test in `tests/properties.rs` checks this), and ops
+//!   harvested slightly after the simulator crossed a boundary still land
+//!   in the right window.
 //! * **Delta snapshots** — the driver loop periodically hands the hub a
 //!   [`MetricsSnapshot`] of counters the FTL already maintains (cache
 //!   hits, GC cycles, energy, wear). The hub attributes the delta since
@@ -110,11 +112,26 @@ pub struct MetricsFrame {
     pub free_blocks: u32,
     /// Worst wear spread at the last sample in the window (gauge).
     pub wear_spread: u32,
-    /// Latencies of ops whose completion fell in the window.
-    pub lat: Histogram,
+    /// Latencies of ops whose completion fell in the window; allocated on
+    /// the first record, `None` while the window has recorded none.
+    lat: Option<Box<Histogram>>,
 }
 
+/// What [`MetricsFrame::lat`] returns for a frame that recorded nothing.
+static NO_LATENCIES: Histogram = Histogram::new();
+
 impl MetricsFrame {
+    /// Latencies of ops whose completion fell in the window (empty when
+    /// none did).
+    pub fn lat(&self) -> &Histogram {
+        self.lat.as_deref().unwrap_or(&NO_LATENCIES)
+    }
+
+    /// Records one latency, allocating the histogram on first use.
+    fn record_latency(&mut self, latency: SimDuration) {
+        self.lat.get_or_insert_with(Box::default).record(latency);
+    }
+
     /// Start of the window this frame covers.
     pub fn start(&self, window: SimDuration) -> SimTime {
         SimTime::from_picos(self.index * window.as_picos())
@@ -276,7 +293,7 @@ impl MetricsHub {
         }
         let f = self.frame_at(completed_at.as_picos());
         f.ops += 1;
-        f.lat.record(latency);
+        f.record_latency(latency);
     }
 
     /// Counts one completed op without a latency (used by shard hubs in a
@@ -303,7 +320,7 @@ impl MetricsHub {
     pub fn merged_latency(&self) -> Histogram {
         let mut h = Histogram::new();
         for f in &self.frames {
-            h.merge(&f.lat);
+            h.merge(f.lat());
         }
         h
     }
@@ -404,7 +421,7 @@ impl MetricsSeries {
     pub fn merged_latency(&self) -> Histogram {
         let mut h = Histogram::new();
         for f in &self.device {
-            h.merge(&f.lat);
+            h.merge(f.lat());
         }
         h
     }
@@ -468,6 +485,7 @@ impl MetricsSeries {
 }
 
 fn push_frame(out: &mut String, shard: i64, f: &MetricsFrame) {
+    let lat = f.lat();
     let _ = write!(
         out,
         r#"{{"frame":{},"shard":{},"ops":{},"cache_hits":{},"cache_misses":{},"cache_dirty_evicts":{},"gc_cycles":{},"energy_pj":{},"wear_migrations":{},"blocks_retired":{},"qd":{},"cache_dirty":{},"cache_len":{},"free_blocks":{},"wear_spread":{},"lat_count":{},"lat_sum_ps":{},"lat_max_ps":{}"#,
@@ -486,15 +504,15 @@ fn push_frame(out: &mut String, shard: i64, f: &MetricsFrame) {
         f.cache_len,
         f.free_blocks,
         f.wear_spread,
-        f.lat.count(),
-        f.lat.sum_ps(),
-        f.lat.max().as_picos()
+        lat.count(),
+        lat.sum_ps(),
+        lat.max().as_picos()
     );
     // Sparse bucket encoding, space-separated so the value stays a single
     // comma-free token for the flat line parser: "bucket:count ...".
     out.push_str(",\"lat_buckets\":\"");
     let mut first = true;
-    for (i, &n) in f.lat.buckets().iter().enumerate() {
+    for (i, &n) in lat.buckets().iter().enumerate() {
         if n != 0 {
             if !first {
                 out.push(' ');
@@ -604,28 +622,30 @@ pub fn parse_metrics_lines(text: &str) -> Result<ParsedMetrics, ParseError> {
             cache_len: get_u64("cache_len")? as u32,
             free_blocks: get_u64("free_blocks")? as u32,
             wear_spread: get_u64("wear_spread")? as u32,
-            lat: Histogram::new(),
+            lat: None,
         };
         let buckets = get("lat_buckets")
             .and_then(|v| v.strip_prefix('"'))
             .and_then(|v| v.strip_suffix('"'))
             .ok_or_else(|| err("missing lat_buckets"))?;
         let max_ps = get_u64("lat_max_ps")?;
+        let mut lat = Histogram::new();
         for tok in buckets.split(' ').filter(|t| !t.is_empty()) {
             let (b, n) = tok.split_once(':').ok_or_else(|| err("bad bucket token"))?;
             let b: usize = b.parse().map_err(|_| err("bad bucket index"))?;
             let n: u64 = n.parse().map_err(|_| err("bad bucket count"))?;
-            f.lat
-                .load_bucket(b, n)
+            lat.load_bucket(b, n)
                 .map_err(|_| err("bucket index out of range"))?;
         }
-        f.lat
-            .load_summary(
-                get_u64("lat_count")?,
-                u128::from(get_u64("lat_sum_ps")?),
-                max_ps,
-            )
-            .map_err(|_| err("bucket counts disagree with lat_count"))?;
+        lat.load_summary(
+            get_u64("lat_count")?,
+            u128::from(get_u64("lat_sum_ps")?),
+            max_ps,
+        )
+        .map_err(|_| err("bucket counts disagree with lat_count"))?;
+        // An empty summary is all zeros, so leaving it unallocated loses
+        // nothing on re-export.
+        f.lat = (!lat.is_empty()).then(|| Box::new(lat));
         if shard == DEVICE_SHARD {
             if f.index as usize != device.len() {
                 return Err(err("device frames out of order"));
@@ -763,7 +783,7 @@ pub fn render_metrics_dashboard(series: &MetricsSeries, verdicts: &[SloVerdict])
     let p99: Vec<u64> = series
         .device
         .iter()
-        .map(|f| f.lat.percentile(99.0).as_picos())
+        .map(|f| f.lat().percentile(99.0).as_picos())
         .collect();
     let worst = p99.iter().copied().max().unwrap_or(0);
     lane(
@@ -933,6 +953,30 @@ mod tests {
     }
 
     #[test]
+    fn frames_allocate_a_histogram_only_on_a_latency() {
+        let w = 1_000_000u64;
+        let mut hub = MetricsHub::new(ps(w));
+        hub.note_op(at(10));
+        hub.sample(at(w + 10), &MetricsSnapshot::default());
+        hub.observe_latency(at(2 * w + 10), ps(7));
+        let frames = hub.frames();
+        assert!(frames[0].lat.is_none() && frames[1].lat.is_none());
+        assert!(frames[0].lat().is_empty());
+        assert_eq!(frames[2].lat().count(), 1);
+        // An empty row parses back unallocated; a non-empty one allocates.
+        let text = MetricsSeries::from_hub(&hub).to_json_lines(&[]);
+        let device = parse_metrics_lines(&text).unwrap().series.device;
+        assert!(device[0].lat.is_none());
+        assert_eq!(device[2].lat().max(), ps(7));
+        // Leaving empty rows unallocated is lossless because an empty
+        // summary must be all zeros.
+        let empty = "\"lat_count\":0,\"lat_sum_ps\":0,\"lat_max_ps\":0";
+        assert!(text.contains(empty));
+        let bad = text.replace(empty, "\"lat_count\":0,\"lat_sum_ps\":0,\"lat_max_ps\":9");
+        assert!(parse_metrics_lines(&bad).is_err());
+    }
+
+    #[test]
     fn tiny_windows_clamp_to_a_nanosecond() {
         let hub = MetricsHub::new(ps(1));
         assert_eq!(hub.window(), SimDuration::from_nanos(1));
@@ -973,10 +1017,10 @@ mod tests {
             assert_eq!(a.cache_hits, b.cache_hits);
             assert_eq!(a.energy_pj, b.energy_pj);
             assert_eq!(a.queue_depth, b.queue_depth);
-            assert_eq!(a.lat.buckets(), b.lat.buckets());
-            assert_eq!(a.lat.count(), b.lat.count());
-            assert_eq!(a.lat.max(), b.lat.max());
-            assert_eq!(a.lat.mean(), b.lat.mean());
+            assert_eq!(a.lat().buckets(), b.lat().buckets());
+            assert_eq!(a.lat().count(), b.lat().count());
+            assert_eq!(a.lat().max(), b.lat().max());
+            assert_eq!(a.lat().mean(), b.lat().mean());
         }
         // And the re-export is byte-identical: parse is lossless.
         assert_eq!(

@@ -143,14 +143,15 @@ impl SloSpec {
                 Some(per_sec < self.min_iops)
             }
             _ => {
-                if frame.lat.is_empty() {
+                let lat = frame.lat();
+                if lat.is_empty() {
                     return None;
                 }
                 let observed = match self.stat {
-                    SloStat::P50 => frame.lat.percentile(50.0),
-                    SloStat::P95 => frame.lat.percentile(95.0),
-                    SloStat::P99 => frame.lat.percentile(99.0),
-                    SloStat::Mean => frame.lat.mean(),
+                    SloStat::P50 => lat.percentile(50.0),
+                    SloStat::P95 => lat.percentile(95.0),
+                    SloStat::P99 => lat.percentile(99.0),
+                    SloStat::Mean => lat.mean(),
                     SloStat::Iops => unreachable!(),
                 };
                 Some(observed.as_picos() >= self.max_ps)

@@ -63,6 +63,12 @@ cargo test --offline -q --test envelope_audit
 step "FTL property suite (wear/bad-block/cache differential models)"
 cargo test --offline -q --test properties -- ftl_ cache
 
+# perfbench/ is a package of its own (own workspace), so the workspace
+# test run never reaches its tests. Release, because a debug simulator
+# makes its device set-up slow.
+step "repo benchmark tests (perfbench, release)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Mirror of the hosted determinism matrix: both digest tests (plain
 # read path + production FTL with cache, wear leveling, and GC) run once
 # per thread count, and the printed `determinism-digest` lines

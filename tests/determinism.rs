@@ -205,6 +205,52 @@ fn production_fio_digest(threads: usize, seed: u64) -> String {
     d.hex()
 }
 
+/// The metrics sidecar is pinned byte for byte: a fixed two-shard
+/// random-write job with a write-back cache and 50 µs windows, exported
+/// with one SLO verdict. Device frames carry latency histograms and shard
+/// frames carry none; neither how a frame stores its histogram nor how the
+/// hub allocates frames may change a byte of the export.
+#[test]
+fn metrics_sidecar_matches_golden_digest() {
+    use babol_sim::SimDuration;
+    use babol_trace::{evaluate_slo, MetricsHub, MetricsSeries, SloSpec};
+
+    let mut cfg = MultiSsdConfig::tiny(2, 2);
+    cfg.preload = false;
+    cfg.shard.cache_pages = 8;
+    cfg.metrics_window = Some(SimDuration::from_micros(50));
+    let mut ssd = MultiSsd::new(cfg);
+    ssd.run(&FioWorkload {
+        pattern: IoPattern::RandomWrite,
+        total_ios: 200,
+        queue_depth: 8,
+        seed: 0x51DE,
+    });
+    let device_hub = ssd.take_metrics();
+    let shard_digests = ssd.finish();
+    let shard_hubs: Vec<&MetricsHub> = shard_digests.iter().map(|sd| &sd.metrics).collect();
+    let series = MetricsSeries::from_shards(&device_hub, &shard_hubs);
+    let spec = SloSpec::parse("p99<800us").expect("static spec");
+    let verdict = evaluate_slo(&spec, &series.device, series.window_ps);
+    let text = series.to_json_lines(&[verdict]);
+
+    let parsed = babol_trace::parse_metrics_lines(&text).expect("sidecar parses");
+    assert_eq!(parsed.series.shards, 2);
+    assert_eq!(parsed.series.merged_latency().count(), 200);
+    assert!(parsed.series.device.len() > 1, "want several windows");
+    for lane in &parsed.series.per_shard {
+        assert!(lane.iter().all(|f| f.lat().is_empty()));
+        assert!(lane.iter().any(|f| f.ops > 0));
+    }
+    assert_eq!(
+        babol_testkit::digest::fnv1a(text.as_bytes()),
+        0xeb4d_48ef_f3a8_7a2d,
+        "metrics sidecar bytes changed ({} bytes, {} lines)",
+        text.len(),
+        text.lines().count()
+    );
+}
+
 /// The production-FTL configuration (write-back cache, wear leveling,
 /// GC-heavy writes) is as thread-count-invariant as the plain read path,
 /// and its digests feed the same CI matrix comparison.

@@ -4,13 +4,15 @@
 //! Every property runs at least 256 deterministic cases. A failure prints
 //! the case seed; replay it with `BABOL_PT_SEED=<seed> cargo test -q`.
 
+use std::collections::BTreeMap;
+
 use babol_testkit::prop::{any, range, range_incl, select, vec_of, Property};
 use babol_testkit::{prop_assert, prop_assert_eq, prop_assert_ne};
 
 use babol_ecc::bch::Bch;
 use babol_ecc::{PageCodec, PageVerdict};
 use babol_flash::Geometry;
-use babol_ftl::PageMap;
+use babol_ftl::{PageMap, Ppn};
 use babol_onfi::addr::{AddrLayout, ColumnAddr, RowAddr};
 use babol_onfi::param_page::ParamPage;
 use babol_sim::{Dram, EventQueue, Freq, PageBuf, SimDuration, SimTime};
@@ -386,41 +388,110 @@ fn freq_cycles_are_nearly_additive() {
     );
 }
 
-/// The FTL map never double-maps a physical page and keeps the L2P and
-/// P2L views consistent under arbitrary write/overwrite streams.
-#[test]
-fn ftl_map_consistency() {
-    Property::new("ftl_map_consistency").run(vec_of(range(0u64..96), 1..120), |writes| {
-        let mut map = PageMap::new(Geometry::tiny(), 2, 96);
-        for &lpn in writes {
-            // Collect when needed, like the SSD driver does.
-            for lun in 0..2 {
-                while map.needs_gc(lun) {
-                    let Some(plan) = map.plan_gc(lun) else { break };
-                    for (mlpn, old) in &plan.moves {
-                        let target = map.best_relocation_lun(old.lun);
-                        map.allocate_on_lun(*mlpn, target);
-                    }
-                    map.finish_gc(plan.victim);
-                }
-            }
-            map.allocate_for_write(lpn);
-        }
-        // Every distinct written LPN resolves, and all PPNs are unique.
-        for &lpn in writes {
-            prop_assert!(
-                map.translate(lpn).is_some(),
-                "written LPN {lpn} must resolve"
+/// The reverse map rebuilt from `translate` alone: every mapped physical
+/// page and the logical page it holds.
+fn p2l_model(map: &PageMap) -> BTreeMap<Ppn, u64> {
+    (0..map.logical_pages())
+        .filter_map(|lpn| map.translate(lpn).map(|ppn| (ppn, lpn)))
+        .collect()
+}
+
+/// The model's valid pages of one block, as `(lpn, ppn)` in page order.
+fn model_moves(model: &BTreeMap<Ppn, u64>, lun: u32, block: u32) -> Vec<(u64, Ppn)> {
+    let first = Ppn {
+        lun,
+        block,
+        page: 0,
+    };
+    let last = Ppn {
+        page: u32::MAX,
+        ..first
+    };
+    model.range(first..=last).map(|(&p, &l)| (l, p)).collect()
+}
+
+/// `block_moves` agrees with the model on every block of the tiny map.
+fn check_block_moves(map: &PageMap) -> Result<(), String> {
+    let model = p2l_model(map);
+    for lun in 0..2 {
+        for block in 0..8 {
+            prop_assert_eq!(
+                map.block_moves(lun, block),
+                model_moves(&model, lun, block),
+                "block_moves({lun}, {block}) disagrees with the inverted L2P"
             );
         }
-        let mut ppns = std::collections::BTreeSet::new();
-        for lpn in 0..96 {
-            if let Some(ppn) = map.translate(lpn) {
-                prop_assert!(ppns.insert(ppn), "PPN {ppn:?} double-mapped");
+    }
+    Ok(())
+}
+
+/// The FTL map never double-maps a physical page and keeps the L2P and
+/// P2L views consistent under arbitrary write/overwrite streams. The P2L
+/// view is private, so it is checked differentially: a model rebuilt by
+/// inverting `translate` after every step must agree with every GC plan's
+/// moves and with `block_moves` on every block, also once blocks retire.
+#[test]
+fn ftl_map_consistency() {
+    Property::new("ftl_map_consistency").run(
+        (
+            range(0u32..2),
+            range(0u32..8),
+            vec_of(range(0u64..96), 1..120),
+        ),
+        |&(bad_lun, bad_block, ref writes)| {
+            let mut map = PageMap::new(Geometry::tiny(), 2, 96);
+            for &lpn in writes {
+                // Collect when needed, like the SSD driver does.
+                for lun in 0..2 {
+                    while map.needs_gc(lun) {
+                        let Some(plan) = map.plan_gc(lun) else { break };
+                        let model = p2l_model(&map);
+                        prop_assert_eq!(
+                            plan.moves,
+                            model_moves(&model, lun, plan.victim.block),
+                            "GC plan for {:?} disagrees with the inverted L2P",
+                            plan.victim
+                        );
+                        for (mlpn, old) in &plan.moves {
+                            let target = map.best_relocation_lun(old.lun);
+                            map.allocate_on_lun(*mlpn, target);
+                        }
+                        map.finish_gc(plan.victim);
+                        check_block_moves(&map)?;
+                    }
+                }
+                map.allocate_for_write(lpn);
+                check_block_moves(&map)?;
             }
-        }
-        Ok(())
-    });
+            // Every distinct written LPN resolves, and all PPNs are unique.
+            for &lpn in writes {
+                prop_assert!(
+                    map.translate(lpn).is_some(),
+                    "written LPN {lpn} must resolve"
+                );
+            }
+            let mut ppns = std::collections::BTreeSet::new();
+            for lpn in 0..96 {
+                if let Some(ppn) = map.translate(lpn) {
+                    prop_assert!(ppns.insert(ppn), "PPN {ppn:?} double-mapped");
+                }
+            }
+            // Retire an arbitrary block (free, active or full): its pages
+            // stay mapped and listed until they are evacuated, and the
+            // evacuation drains it.
+            map.retire_block(bad_lun, bad_block);
+            check_block_moves(&map)?;
+            let target = map.best_relocation_lun(bad_lun);
+            if map.free_blocks(target) > 0 {
+                for (mlpn, _) in map.block_moves(bad_lun, bad_block) {
+                    map.allocate_on_lun(mlpn, target);
+                }
+                prop_assert!(map.block_moves(bad_lun, bad_block).is_empty());
+                check_block_moves(&map)?;
+            }
+            Ok(())
+        },
+    );
 }
 
 /// Differential test of the wear-leveling and bad-block half of the map
