@@ -183,7 +183,7 @@ impl SoftTask for CoroTask {
     }
 
     fn deliver(&mut self, local_ticket: u64, result: TxnResult) {
-        self.mb.borrow_mut().results.insert(local_ticket, result);
+        self.mb.borrow_mut().results.push((local_ticket, result));
     }
 
     fn take_sleep(&mut self) -> Option<SimDuration> {

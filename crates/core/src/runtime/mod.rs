@@ -16,21 +16,23 @@
 //!
 //! Every software action charges the CPU model, so the same controller
 //! logic slows down on a 150 MHz soft-core exactly the way Figure 10 shows.
-
-// Determinism allowlist: the scheduler's tables are keyed lookups on the
-// simulator's hot path and are never iterated — scheduling order is decided
-// by the ready queue, not map order (`scripts/lint.sh` documents the gate).
-#![allow(clippy::disallowed_types)]
+//!
+//! Host cost: the runtime's tables are dense `Vec`s indexed by task id or
+//! LUN, and a transaction carries its own routing (owning task, local
+//! ticket, trace attribution) from the ready list through the hardware
+//! queue to the single in-flight slot. Scheduling a transaction therefore
+//! hashes nothing, and the scheduler and the μFSM emitter reuse buffers the
+//! runtime owns instead of allocating per pick or per transaction.
 
 pub mod coro;
 pub mod rtos;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use babol_sim::{BufPool, PageBuf, SimDuration, SimTime};
 use babol_trace::{Component, Counter, Metric, TraceKind, TraceSink};
-use babol_ufsm::{execute_traced, Transaction};
+use babol_ufsm::{execute_with, EmitScratch, Transaction};
 
 use crate::sched::{TaskMeta, TaskPolicy, TxnMeta, TxnPolicy};
 use crate::system::{Controller, Event, IoRequest, System};
@@ -88,8 +90,9 @@ pub struct Mailbox {
     next_local: u64,
     /// Transactions built during the current advance (local ticket, txn).
     pub outbox: Vec<(u64, Transaction)>,
-    /// Results delivered by the runtime, keyed by local ticket.
-    pub results: HashMap<u64, TxnResult>,
+    /// Results delivered by the runtime, keyed by local ticket. A task
+    /// awaits at most a handful of transactions, so this is a short list.
+    pub results: Vec<(u64, TxnResult)>,
     /// Sleep request set during the current advance.
     pub sleep: Option<SimDuration>,
     /// DRAM staging writes requested during the current advance (the CPU
@@ -125,7 +128,8 @@ impl Mailbox {
 
     /// Takes the result for `ticket` if it has been delivered.
     pub fn take_result(&mut self, ticket: u64) -> Option<TxnResult> {
-        self.results.remove(&ticket)
+        let i = self.results.iter().position(|(t, _)| *t == ticket)?;
+        Some(self.results.swap_remove(i).1)
     }
 
     /// Queues a DRAM staging write of `bytes` at `addr`, copying once into
@@ -229,9 +233,22 @@ impl RuntimeConfig {
     }
 }
 
+/// Where a transaction's completion goes, and how traced runs attribute
+/// it. Travels with the transaction from the ready list to the in-flight
+/// slot.
+#[derive(Debug, Clone, Copy)]
+struct TxnRoute {
+    ticket: u64,
+    /// Owning task and its local ticket.
+    task: TaskId,
+    local: u64,
+    /// Enqueue time, LUN and op id (traced runs only).
+    info: Option<(SimTime, u32, u64)>,
+}
+
 #[derive(Debug)]
 struct ReadyTxn {
-    ticket: u64,
+    route: TxnRoute,
     txn: Transaction,
     meta: TxnMeta,
     avail: SimTime,
@@ -239,9 +256,18 @@ struct ReadyTxn {
 
 #[derive(Debug)]
 struct HwEntry {
-    ticket: u64,
+    route: TxnRoute,
     txn: Transaction,
     avail: SimTime,
+}
+
+/// The one transaction on the bus and its result, held until its
+/// `TxnDone` event fires.
+#[derive(Debug)]
+struct InFlight {
+    route: TxnRoute,
+    end: SimTime,
+    inline: Vec<u8>,
 }
 
 /// The shared software runtime: task scheduling, transaction scheduling,
@@ -252,32 +278,34 @@ pub struct SoftRuntime {
     free_ids: Vec<TaskId>,
     active: usize,
     runnable: VecDeque<TaskId>,
-    waiting: HashMap<u64, (TaskId, u64)>,
-    sleeping: HashMap<u64, TaskId>,
+    /// Sleeping tasks by timer tag (few at a time; unordered).
+    sleeping: Vec<(u64, TaskId)>,
     ready: Vec<ReadyTxn>,
     hw_queue: VecDeque<HwEntry>,
-    in_flight: Option<u64>,
-    outcomes: HashMap<u64, (SimTime, Vec<u8>)>,
+    in_flight: Option<InFlight>,
     next_ticket: u64,
     next_timer: u64,
     last_task_lun: u32,
     last_txn_lun: u32,
-    /// LUNs with an operation currently admitted (the task scheduler admits
-    /// "an operation when a given package is available", paper §V).
-    lun_active: HashMap<u32, TaskId>,
-    /// Tasks parked until their LUN frees up.
-    lun_parked: HashMap<u32, VecDeque<TaskId>>,
+    /// Per LUN: whether an operation is currently admitted (the task
+    /// scheduler admits "an operation when a given package is available",
+    /// paper §V). Indexed by LUN id, grown on first use.
+    lun_active: Vec<bool>,
+    /// Per LUN: tasks parked until the LUN frees up.
+    lun_parked: Vec<VecDeque<TaskId>>,
     finished: Vec<FinishedTask>,
     /// Cumulative count of issued transactions (stats).
     pub txns_issued: u64,
-    /// When each runnable task entered the runnable queue (traced runs
+    /// Per task id: when the task entered the runnable queue (traced runs
     /// only; feeds the scheduler pick-wait histogram).
-    runnable_since: HashMap<TaskId, SimTime>,
-    /// Per-ticket (enqueue time, lun, op id) for transaction latency and
-    /// event attribution (traced runs only).
-    txn_info: HashMap<u64, (SimTime, u32, u64)>,
+    runnable_since: Vec<Option<SimTime>>,
     /// Reused receptacle for staged DRAM writes drained each pump pass.
     staged_scratch: Vec<(u64, PageBuf)>,
+    /// Reused candidate lists for the task and transaction schedulers.
+    task_metas: Vec<TaskMeta>,
+    txn_metas: Vec<TxnMeta>,
+    /// Reused phase buffers for the μFSM emitter.
+    emit_scratch: EmitScratch,
 }
 
 impl fmt::Debug for SoftRuntime {
@@ -299,23 +327,23 @@ impl SoftRuntime {
             free_ids: Vec::new(),
             active: 0,
             runnable: VecDeque::new(),
-            waiting: HashMap::new(),
-            sleeping: HashMap::new(),
+            sleeping: Vec::new(),
             ready: Vec::new(),
             hw_queue: VecDeque::new(),
             in_flight: None,
-            outcomes: HashMap::new(),
             next_ticket: 0,
             next_timer: 0,
             last_task_lun: 0,
             last_txn_lun: 0,
-            lun_active: HashMap::new(),
-            lun_parked: HashMap::new(),
+            lun_active: Vec::new(),
+            lun_parked: Vec::new(),
             finished: Vec::new(),
             txns_issued: 0,
-            runnable_since: HashMap::new(),
-            txn_info: HashMap::new(),
+            runnable_since: Vec::new(),
             staged_scratch: Vec::new(),
+            task_metas: Vec::new(),
+            txn_metas: Vec::new(),
+            emit_scratch: EmitScratch::default(),
         }
     }
 
@@ -340,6 +368,7 @@ impl SoftRuntime {
             tid
         } else {
             self.tasks.push(Some(task));
+            self.runnable_since.push(None);
             self.tasks.len() - 1
         };
         self.active += 1;
@@ -349,17 +378,15 @@ impl SoftRuntime {
         // One operation per LUN at a time: a LUN has one page register, so
         // overlapping operations would corrupt each other. Later arrivals
         // park until the LUN frees up.
-        let admitted = match self.lun_active.entry(lun) {
-            std::collections::hash_map::Entry::Occupied(_) => {
-                self.lun_parked.entry(lun).or_default().push_back(tid);
-                false
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(tid);
-                true
-            }
-        };
-        if admitted {
+        let l = lun as usize;
+        if l >= self.lun_active.len() {
+            self.lun_active.resize(l + 1, false);
+            self.lun_parked.resize_with(l + 1, VecDeque::new);
+        }
+        if self.lun_active[l] {
+            self.lun_parked[l].push_back(tid);
+        } else {
+            self.lun_active[l] = true;
             self.mark_runnable(sys, tid);
         }
         tid
@@ -372,7 +399,7 @@ impl SoftRuntime {
     fn mark_runnable(&mut self, sys: &mut System, tid: TaskId) {
         self.runnable.push_back(tid);
         if sys.trace.is_enabled() {
-            self.runnable_since.insert(tid, sys.now);
+            self.runnable_since[tid] = Some(sys.now);
             if let Some(task) = self.tasks[tid].as_ref() {
                 sys.trace.event(
                     sys.now,
@@ -407,23 +434,23 @@ impl SoftRuntime {
     }
 
     fn on_timer(&mut self, sys: &mut System, tag: u64) {
-        if let Some(tid) = self.sleeping.remove(&tag) {
+        if let Some(i) = self.sleeping.iter().position(|&(t, _)| t == tag) {
+            let (_, tid) = self.sleeping.swap_remove(i);
             self.mark_runnable(sys, tid);
             self.pump(sys);
         }
     }
 
     fn on_txn_done(&mut self, sys: &mut System, ticket: u64) {
-        debug_assert_eq!(self.in_flight, Some(ticket));
-        self.in_flight = None;
-        let (end, data) = self
-            .outcomes
-            .remove(&ticket)
-            .expect("completion for unknown transaction");
+        let done = match self.in_flight.take() {
+            Some(f) if f.route.ticket == ticket => f,
+            _ => panic!("completion for unknown transaction {ticket}"),
+        };
+        let route = done.route;
         sys.cpu.charge(sys.now, self.cfg.cost.completion_irq);
         sys.trace.count(Component::Sched, Counter::TxnsCompleted, 1);
         if sys.trace.is_enabled() {
-            if let Some((enq, lun, op_id)) = self.txn_info.remove(&ticket) {
+            if let Some((enq, lun, op_id)) = route.info {
                 sys.trace.event(
                     sys.now,
                     Component::Sched,
@@ -435,12 +462,15 @@ impl SoftRuntime {
                     .observe(Metric::TxnLatency, sys.now.saturating_since(enq));
             }
         }
-        if let Some((tid, local)) = self.waiting.remove(&ticket) {
-            if self.tasks[tid].is_some() {
-                let task = self.tasks[tid].as_mut().expect("checked above");
-                task.deliver(local, TxnResult { inline: data, end });
-                self.mark_runnable(sys, tid);
-            }
+        if let Some(task) = self.tasks[route.task].as_mut() {
+            task.deliver(
+                route.local,
+                TxnResult {
+                    inline: done.inline,
+                    end: done.end,
+                },
+            );
+            self.mark_runnable(sys, route.task);
         }
         // The hardware proceeds to the next queued transaction regardless of
         // what the software does with the completion.
@@ -484,9 +514,13 @@ impl SoftRuntime {
             }
             for (local, txn) in task.drain_outbox() {
                 sys.cpu.charge(sys.now, cost.enqueue_txn);
-                let ticket = self.next_ticket;
+                let mut route = TxnRoute {
+                    ticket: self.next_ticket,
+                    task: tid,
+                    local,
+                    info: None,
+                };
                 self.next_ticket += 1;
-                self.waiting.insert(ticket, (tid, local));
                 let meta = TxnMeta {
                     lun: task.meta().lun,
                     data_bytes: txn.data_bytes(),
@@ -502,10 +536,10 @@ impl SoftRuntime {
                         meta.lun,
                         op_id,
                     );
-                    self.txn_info.insert(ticket, (sys.now, meta.lun, op_id));
+                    route.info = Some((sys.now, meta.lun, op_id));
                 }
                 self.ready.push(ReadyTxn {
-                    ticket,
+                    route,
                     txn,
                     meta,
                     avail: sys.cpu.busy_until(),
@@ -514,7 +548,7 @@ impl SoftRuntime {
             if let Some(dur) = task.take_sleep() {
                 let tag = self.next_timer;
                 self.next_timer += 1;
-                self.sleeping.insert(tag, tid);
+                self.sleeping.push((tag, tid));
                 sys.schedule(sys.cpu.busy_until() + dur, Event::Timer { tag });
             }
             sys.cpu.charge(sys.now, cost.suspend);
@@ -537,28 +571,26 @@ impl SoftRuntime {
                 // Release the LUN and admit the next parked operation —
                 // highest priority first, FIFO among equals (the task
                 // scheduler's admission decision, paper §V).
-                self.lun_active.remove(&lun);
-                let by_priority = self.cfg.task_policy == TaskPolicy::Priority;
-                let next = self.lun_parked.get_mut(&lun).and_then(|q| {
-                    if by_priority {
-                        let best = q
-                            .iter()
-                            .enumerate()
-                            .max_by_key(|(i, &tid)| {
-                                let prio = self.tasks[tid]
-                                    .as_ref()
-                                    .map(|t| t.meta().priority)
-                                    .unwrap_or(0);
-                                (prio, usize::MAX - i) // FIFO tie-break
-                            })
-                            .map(|(i, _)| i);
-                        best.and_then(|i| q.remove(i))
-                    } else {
-                        q.pop_front()
-                    }
-                });
+                let l = lun as usize;
+                let q = &mut self.lun_parked[l];
+                let next = if self.cfg.task_policy == TaskPolicy::Priority {
+                    let best = q
+                        .iter()
+                        .enumerate()
+                        .max_by_key(|(i, &tid)| {
+                            let prio = self.tasks[tid]
+                                .as_ref()
+                                .map(|t| t.meta().priority)
+                                .unwrap_or(0);
+                            (prio, usize::MAX - i) // FIFO tie-break
+                        })
+                        .map(|(i, _)| i);
+                    best.and_then(|i| q.remove(i))
+                } else {
+                    q.pop_front()
+                };
+                self.lun_active[l] = next.is_some();
                 if let Some(next) = next {
-                    self.lun_active.insert(lun, next);
                     self.mark_runnable(sys, next);
                 }
             }
@@ -567,14 +599,15 @@ impl SoftRuntime {
         let mut pushed = false;
         while self.hw_queue.len() < self.cfg.lookahead && !self.ready.is_empty() {
             sys.cpu.charge(sys.now, cost.txn_sched_pass);
-            let metas: Vec<TxnMeta> = self.ready.iter().map(|r| r.meta).collect();
-            let Some(idx) = self.cfg.txn_policy.pick(&metas, self.last_txn_lun) else {
+            self.txn_metas.clear();
+            self.txn_metas.extend(self.ready.iter().map(|r| r.meta));
+            let Some(idx) = self.cfg.txn_policy.pick(&self.txn_metas, self.last_txn_lun) else {
                 break;
             };
             let r = self.ready.remove(idx);
             self.last_txn_lun = r.meta.lun;
             self.hw_queue.push_back(HwEntry {
-                ticket: r.ticket,
+                route: r.route,
                 txn: r.txn,
                 avail: r.avail.max(sys.cpu.busy_until()),
             });
@@ -586,28 +619,28 @@ impl SoftRuntime {
     }
 
     fn pick_runnable(&mut self, sys: &mut System) -> Option<TaskId> {
-        let metas: Vec<TaskMeta> = self
-            .runnable
-            .iter()
-            .map(|&tid| self.tasks[tid].as_ref().expect("runnable").meta())
-            .collect();
-        let idx = self.cfg.task_policy.pick(&metas, self.last_task_lun)?;
-        self.last_task_lun = metas[idx].lun;
+        self.task_metas.clear();
+        self.task_metas.extend(
+            self.runnable
+                .iter()
+                .map(|&tid| self.tasks[tid].as_ref().expect("runnable").meta()),
+        );
+        let idx = self
+            .cfg
+            .task_policy
+            .pick(&self.task_metas, self.last_task_lun)?;
+        let lun = self.task_metas[idx].lun;
+        self.last_task_lun = lun;
         let tid = self.runnable.remove(idx);
         sys.trace.count(Component::Sched, Counter::SchedPicks, 1);
         if sys.trace.is_enabled() {
             if let Some(&tid) = tid.as_ref() {
-                let since = self.runnable_since.remove(&tid).unwrap_or(sys.now);
+                let since = self.runnable_since[tid].take().unwrap_or(sys.now);
                 sys.trace
                     .observe(Metric::SchedWait, sys.now.saturating_since(since));
                 let op_id = self.tasks[tid].as_ref().map(|t| t.op_id()).unwrap_or(0);
-                sys.trace.event(
-                    sys.now,
-                    Component::Sched,
-                    TraceKind::SchedPick,
-                    metas[idx].lun,
-                    op_id,
-                );
+                sys.trace
+                    .event(sys.now, Component::Sched, TraceKind::SchedPick, lun, op_id);
             }
         }
         tid
@@ -629,22 +662,14 @@ impl SoftRuntime {
         }
         let entry = self.hw_queue.pop_front().expect("front exists");
         let start = sys.now.max(sys.channel.busy_until()) + self.cfg.issue_gap;
-        let op_id = self
-            .txn_info
-            .get(&entry.ticket)
-            .map(|&(_, _, op_id)| op_id)
-            .unwrap_or(0);
+        let (_, lun, op_id) = entry.route.info.unwrap_or((SimTime::ZERO, 0, 0));
         sys.trace.count(Component::Sched, Counter::TxnsIssued, 1);
         if sys.trace.is_enabled() {
-            let lun = self
-                .txn_info
-                .get(&entry.ticket)
-                .map(|&(_, lun, _)| lun)
-                .unwrap_or(0);
             sys.trace
                 .event(start, Component::Sched, TraceKind::TxnIssue, lun, op_id);
         }
-        let outcome = execute_traced(
+        let outcome = execute_with(
+            &mut self.emit_scratch,
             &mut sys.channel,
             &mut sys.dram,
             &sys.emit,
@@ -655,15 +680,13 @@ impl SoftRuntime {
         )
         .unwrap_or_else(|e| panic!("operation logic drove an illegal waveform: {e}"));
         self.txns_issued += 1;
-        self.outcomes
-            .insert(entry.ticket, (outcome.end, outcome.inline));
-        self.in_flight = Some(entry.ticket);
-        sys.schedule(
-            outcome.end,
-            Event::TxnDone {
-                ticket: entry.ticket,
-            },
-        );
+        let ticket = entry.route.ticket;
+        self.in_flight = Some(InFlight {
+            route: entry.route,
+            end: outcome.end,
+            inline: outcome.inline,
+        });
+        sys.schedule(outcome.end, Event::TxnDone { ticket });
     }
 }
 
@@ -673,12 +696,13 @@ pub struct SoftController {
     name: &'static str,
     rt: SoftRuntime,
     factory: TaskFactory,
-    req_of: HashMap<TaskId, IoRequest>,
+    /// Per task id: the request it serves and, in traced runs, when it was
+    /// submitted (for op-latency observations).
+    req_of: Vec<Option<(IoRequest, Option<SimTime>)>>,
+    /// Occupied entries of `req_of`.
+    in_flight: usize,
     done: Vec<(IoRequest, SimTime)>,
     scratch: Vec<FinishedTask>,
-    /// Submission time per in-flight task, for op-latency observations
-    /// (traced runs only).
-    submitted_at: HashMap<TaskId, SimTime>,
     /// Operations that finished with an error (visible to experiments).
     pub errors: Vec<(IoRequest, OpError)>,
 }
@@ -695,10 +719,10 @@ impl SoftController {
             name,
             rt: SoftRuntime::new(cfg),
             factory: Box::new(factory),
-            req_of: HashMap::new(),
+            req_of: Vec::new(),
+            in_flight: 0,
             done: Vec::new(),
             scratch: Vec::new(),
-            submitted_at: HashMap::new(),
             errors: Vec::new(),
         }
     }
@@ -712,8 +736,8 @@ impl SoftController {
         let mut fin = std::mem::take(&mut self.scratch);
         self.rt.drain_finished(&mut fin);
         for (tid, at, outcome) in fin.drain(..) {
-            let t0 = self.submitted_at.remove(&tid);
-            if let Some(req) = self.req_of.remove(&tid) {
+            if let Some((req, t0)) = self.req_of.get_mut(tid).and_then(Option::take) {
+                self.in_flight -= 1;
                 if let Some(Err(e)) = outcome {
                     self.errors.push((req, e));
                 }
@@ -742,7 +766,12 @@ impl Controller for SoftController {
         }
         let task = (self.factory)(&req);
         let tid = self.rt.spawn(sys, task);
-        self.req_of.insert(tid, req);
+        if tid >= self.req_of.len() {
+            self.req_of.resize(tid + 1, None);
+        }
+        let submitted = sys.trace.is_enabled().then_some(sys.now);
+        self.req_of[tid] = Some((req, submitted));
+        self.in_flight += 1;
         sys.trace.count(Component::Ctrl, Counter::OpsSubmitted, 1);
         if sys.trace.is_enabled() {
             sys.trace.event(
@@ -752,7 +781,6 @@ impl Controller for SoftController {
                 req.lun,
                 req.id,
             );
-            self.submitted_at.insert(tid, sys.now);
         }
         sys.schedule(sys.now, Event::CpuDone);
         true
@@ -768,7 +796,7 @@ impl Controller for SoftController {
     }
 
     fn in_flight(&self) -> usize {
-        self.req_of.len()
+        self.in_flight
     }
 }
 
@@ -889,6 +917,102 @@ mod tests {
         // At minimum: task sched + resume + enqueue + suspend + txn sched +
         // completion + final resume/suspend.
         assert!(s.cpu.busy_cycles() > 1_000, "{}", s.cpu.busy_cycles());
+    }
+
+    /// A task that builds no transaction and finishes on its first run:
+    /// isolates the task scheduler's admission bookkeeping.
+    struct InstantTask(TaskMeta);
+
+    impl SoftTask for InstantTask {
+        fn advance(&mut self, _now: SimTime) -> TaskStatus {
+            TaskStatus::Finished
+        }
+        fn drain_outbox(&mut self) -> Vec<(u64, Transaction)> {
+            Vec::new()
+        }
+        fn deliver(&mut self, _local_ticket: u64, _result: TxnResult) {}
+        fn take_sleep(&mut self) -> Option<SimDuration> {
+            None
+        }
+        fn drain_staged(&mut self, _out: &mut Vec<(u64, PageBuf)>) {}
+        fn take_steps(&mut self) -> u32 {
+            0
+        }
+        fn take_outcome(&mut self) -> Option<Result<(), OpError>> {
+            Some(Ok(()))
+        }
+        fn meta(&self) -> TaskMeta {
+            self.0
+        }
+    }
+
+    fn instant(lun: u32, priority: u8) -> Box<dyn SoftTask> {
+        Box::new(InstantTask(TaskMeta { lun, priority }))
+    }
+
+    fn finished_ids(rt: &mut SoftRuntime) -> Vec<TaskId> {
+        let mut fin = Vec::new();
+        rt.drain_finished(&mut fin);
+        fin.iter().map(|&(tid, _, _)| tid).collect()
+    }
+
+    #[test]
+    fn sparse_lun_ids_admit_and_park_per_lun() {
+        let mut s = sys(1);
+        let mut rt = SoftRuntime::new(RuntimeConfig::rtos());
+        let a = rt.spawn(&mut s, instant(0, 0));
+        let b = rt.spawn(&mut s, instant(37, 0));
+        let c = rt.spawn(&mut s, instant(0, 0));
+        let d = rt.spawn(&mut s, instant(37, 0));
+        // One admitted operation per LUN; the second on each LUN parks.
+        assert_eq!(rt.runnable, [a, b]);
+        assert_eq!(rt.lun_parked[0], [c]);
+        assert_eq!(rt.lun_parked[37], [d]);
+        let busy: Vec<usize> = (0..rt.lun_active.len())
+            .filter(|&l| rt.lun_active[l])
+            .collect();
+        assert_eq!(busy, [0, 37], "LUNs in between stay free");
+        rt.pump(&mut s);
+        let mut done = finished_ids(&mut rt);
+        done.sort_unstable();
+        assert_eq!(done, [a, b, c, d]);
+        assert!(rt.lun_active.iter().all(|&busy| !busy));
+        assert!(rt.lun_parked.iter().all(VecDeque::is_empty));
+        assert_eq!(rt.active_tasks(), 0);
+    }
+
+    #[test]
+    fn priority_policy_admits_parked_highest_first_fifo_among_equals() {
+        let mut cfg = RuntimeConfig::rtos();
+        cfg.task_policy = TaskPolicy::Priority;
+        let mut s = sys(1);
+        let mut rt = SoftRuntime::new(cfg);
+        // The first task takes LUN 5; the rest park behind it.
+        let first = rt.spawn(&mut s, instant(5, 0));
+        let p1 = rt.spawn(&mut s, instant(5, 1));
+        let p3a = rt.spawn(&mut s, instant(5, 3));
+        let p3b = rt.spawn(&mut s, instant(5, 3));
+        let p2 = rt.spawn(&mut s, instant(5, 2));
+        rt.pump(&mut s);
+        assert_eq!(finished_ids(&mut rt), [first, p3a, p3b, p2, p1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "completion for unknown transaction")]
+    fn completion_for_a_ticket_not_in_flight_panics() {
+        let mut s = sys(1);
+        let mut rt = SoftRuntime::new(RuntimeConfig::rtos());
+        rt.spawn(&mut s, status_task(0));
+        s.schedule(s.now, Event::CpuDone);
+        while let Some((at, ev)) = s.pop_event() {
+            s.now = at;
+            // Misroute the first completion to a ticket never issued.
+            let ev = match ev {
+                Event::TxnDone { ticket } => Event::TxnDone { ticket: ticket + 1 },
+                other => other,
+            };
+            rt.on_event(&mut s, ev);
+        }
     }
 
     #[test]

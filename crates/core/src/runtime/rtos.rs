@@ -101,7 +101,7 @@ impl<M: RtosMachine> SoftTask for RtosTask<M> {
     }
 
     fn deliver(&mut self, local_ticket: u64, result: TxnResult) {
-        self.mb.results.insert(local_ticket, result);
+        self.mb.results.push((local_ticket, result));
     }
 
     fn take_sleep(&mut self) -> Option<SimDuration> {

@@ -20,10 +20,18 @@
 //!   or prefers clean entries — which need no flash program — falling back
 //!   to LRU among dirty ones ([`CachePolicy::CleanFirstLru`]).
 //!
-//! Determinism: recency is a monotonically increasing sequence number and
-//! the resident set is a `BTreeMap`, so eviction choice is a pure function
-//! of the access history (the workspace determinism lint bans unordered
-//! hash collections here for exactly this reason).
+//! Determinism: recency is the order of an intrusive list and the
+//! resident set is a `BTreeMap`, so eviction choice is a pure function of
+//! the access history (the workspace determinism lint bans unordered hash
+//! collections here for exactly this reason).
+//!
+//! Host cost: every operation except [`WriteCache::drain_dirty`] is one
+//! `BTreeMap` lookup plus O(1) list surgery. Recency lives in two
+//! slot-indexed doubly linked lists — every resident slot from least to
+//! most recently used, and (for [`CachePolicy::CleanFirstLru`] only) the
+//! clean slots in the same order — so finding a victim never scans the
+//! resident set, and a running dirty count makes [`WriteCache::dirty_len`]
+//! O(1).
 
 use std::collections::BTreeMap;
 
@@ -35,13 +43,6 @@ pub enum CachePolicy {
     /// Evict the least-recently-used **clean** entry (free — no flash
     /// program needed); only when everything is dirty, fall back to LRU.
     CleanFirstLru,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct CacheEntry {
-    slot: u32,
-    dirty: bool,
-    seq: u64,
 }
 
 /// An entry pushed out to make room, which the driver must act on before
@@ -57,15 +58,89 @@ pub struct Eviction {
     pub dirty: bool,
 }
 
+/// Link value for "no slot".
+const NIL: u32 = u32::MAX;
+
+/// A doubly linked list threaded through dense per-slot link arrays, oldest
+/// at the head. A slot is on the list at most once; the caller tracks
+/// membership.
+#[derive(Debug, Clone)]
+struct SlotList {
+    head: u32,
+    tail: u32,
+    prev: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl SlotList {
+    fn new(capacity: usize) -> Self {
+        SlotList {
+            head: NIL,
+            tail: NIL,
+            prev: vec![NIL; capacity],
+            next: vec![NIL; capacity],
+        }
+    }
+
+    fn front(&self) -> Option<u32> {
+        (self.head != NIL).then_some(self.head)
+    }
+
+    fn push_back(&mut self, slot: u32) {
+        let s = slot as usize;
+        self.prev[s] = self.tail;
+        self.next[s] = NIL;
+        match self.tail {
+            NIL => self.head = slot,
+            t => self.next[t as usize] = slot,
+        }
+        self.tail = slot;
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let s = slot as usize;
+        let (p, n) = (self.prev[s], self.next[s]);
+        match p {
+            NIL => self.head = n,
+            p => self.next[p as usize] = n,
+        }
+        match n {
+            NIL => self.tail = p,
+            n => self.prev[n as usize] = p,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.head = NIL;
+        self.tail = NIL;
+    }
+
+    fn move_to_back(&mut self, slot: u32) {
+        if self.tail != slot {
+            self.unlink(slot);
+            self.push_back(slot);
+        }
+    }
+}
+
 /// Write-back cache bookkeeping: resident set, slot assignment, recency,
 /// dirtiness, and hit/miss/eviction counters.
 #[derive(Debug, Clone)]
 pub struct WriteCache {
     capacity: usize,
-    policy: CachePolicy,
-    entries: BTreeMap<u64, CacheEntry>,
+    /// Resident pages: LPN → slot.
+    entries: BTreeMap<u64, u32>,
     free_slots: Vec<u32>,
-    next_seq: u64,
+    /// Per slot: the resident LPN (meaningful only while resident).
+    slot_lpn: Vec<u64>,
+    /// Per slot: whether the resident page is newer than flash.
+    slot_dirty: Vec<bool>,
+    dirty_count: usize,
+    /// Every resident slot, least recently used first.
+    lru: SlotList,
+    /// The clean resident slots, least recently used first; kept only
+    /// under [`CachePolicy::CleanFirstLru`], whose victim is its head.
+    clean: Option<SlotList>,
     hits: u64,
     misses: u64,
     dirty_evicts: u64,
@@ -74,14 +149,22 @@ pub struct WriteCache {
 
 impl WriteCache {
     /// Builds a cache of `capacity` page slots (0 disables caching).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` does not fit the `u32` slot index.
     pub fn new(capacity: usize, policy: CachePolicy) -> Self {
+        assert!(capacity < NIL as usize, "cache slots are u32");
         WriteCache {
             capacity,
-            policy,
             entries: BTreeMap::new(),
             // Hand slots out in ascending order.
             free_slots: (0..capacity as u32).rev().collect(),
-            next_seq: 0,
+            slot_lpn: vec![0; capacity],
+            slot_dirty: vec![false; capacity],
+            dirty_count: 0,
+            lru: SlotList::new(capacity),
+            clean: (policy == CachePolicy::CleanFirstLru).then(|| SlotList::new(capacity)),
             hits: 0,
             misses: 0,
             dirty_evicts: 0,
@@ -106,7 +189,7 @@ impl WriteCache {
 
     /// Resident pages whose data is newer than flash.
     pub fn dirty_len(&self) -> usize {
-        self.entries.values().filter(|e| e.dirty).count()
+        self.dirty_count
     }
 
     /// Host writes absorbed while the page was already resident.
@@ -139,13 +222,11 @@ impl WriteCache {
     /// Panics if the cache is disabled (capacity 0).
     pub fn touch_write(&mut self, lpn: u64) -> (u32, Option<Eviction>) {
         assert!(self.is_enabled(), "touch_write on a disabled cache");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if let Some(e) = self.entries.get_mut(&lpn) {
-            e.dirty = true;
-            e.seq = seq;
+        if let Some(&slot) = self.entries.get(&lpn) {
+            self.lru.move_to_back(slot);
+            self.set_dirty(slot);
             self.hits += 1;
-            return (e.slot, None);
+            return (slot, None);
         }
         self.misses += 1;
         let (slot, evicted) = match self.free_slots.pop() {
@@ -155,14 +236,11 @@ impl WriteCache {
                 (ev.slot, Some(ev))
             }
         };
-        self.entries.insert(
-            lpn,
-            CacheEntry {
-                slot,
-                dirty: true,
-                seq,
-            },
-        );
+        self.entries.insert(lpn, slot);
+        self.slot_lpn[slot as usize] = lpn;
+        self.slot_dirty[slot as usize] = true;
+        self.dirty_count += 1;
+        self.lru.push_back(slot);
         (slot, evicted)
     }
 
@@ -172,59 +250,82 @@ impl WriteCache {
     /// authoritative. Clean hits and misses return `None` (flash already
     /// has the data). A hit refreshes recency.
     pub fn flush_for_read(&mut self, lpn: u64) -> Option<u32> {
-        let e = self.entries.get_mut(&lpn)?;
-        e.seq = self.next_seq;
-        self.next_seq += 1;
-        if !e.dirty {
+        let slot = *self.entries.get(&lpn)?;
+        self.lru.move_to_back(slot);
+        if !self.slot_dirty[slot as usize] {
+            // Now the most recent clean entry too.
+            if let Some(clean) = &mut self.clean {
+                clean.move_to_back(slot);
+            }
             return None;
         }
-        e.dirty = false;
+        self.slot_dirty[slot as usize] = false;
+        self.dirty_count -= 1;
+        if let Some(clean) = &mut self.clean {
+            clean.push_back(slot);
+        }
         self.hits += 1;
         self.flushes += 1;
-        Some(e.slot)
+        Some(slot)
     }
 
     /// Removes every dirty entry's data obligation, returning `(lpn,
     /// slot)` pairs in ascending LPN order, each marked clean. The driver
     /// programs flash from each slot (end-of-job flush, shutdown).
     pub fn drain_dirty(&mut self) -> Vec<(u64, u32)> {
-        let mut out = Vec::new();
-        for (&lpn, e) in self.entries.iter_mut() {
-            if e.dirty {
-                e.dirty = false;
-                out.push((lpn, e.slot));
+        let mut out = Vec::with_capacity(self.dirty_count);
+        for (&lpn, &slot) in &self.entries {
+            if self.slot_dirty[slot as usize] {
+                self.slot_dirty[slot as usize] = false;
+                out.push((lpn, slot));
             }
         }
+        self.dirty_count = 0;
         self.flushes += out.len() as u64;
+        // Everything resident is clean now, in plain recency order.
+        if let Some(clean) = &mut self.clean {
+            clean.clear();
+            let mut at = self.lru.head;
+            while at != NIL {
+                clean.push_back(at);
+                at = self.lru.next[at as usize];
+            }
+        }
         out
     }
 
-    /// Picks and removes the policy's victim. Caller guarantees the cache
-    /// is non-empty.
-    fn evict(&mut self) -> Eviction {
-        let pick_min_seq = |pred: &dyn Fn(&CacheEntry) -> bool| {
-            self.entries
-                .iter()
-                .filter(|(_, e)| pred(e))
-                .min_by_key(|(_, e)| e.seq)
-                .map(|(&lpn, _)| lpn)
-        };
-        let lpn = match self.policy {
-            CachePolicy::Lru => pick_min_seq(&|_| true),
-            CachePolicy::CleanFirstLru => {
-                pick_min_seq(&|e| !e.dirty).or_else(|| pick_min_seq(&|_| true))
+    /// Marks a resident slot dirty, leaving the clean list if it was clean.
+    fn set_dirty(&mut self, slot: u32) {
+        if !self.slot_dirty[slot as usize] {
+            self.slot_dirty[slot as usize] = true;
+            self.dirty_count += 1;
+            if let Some(clean) = &mut self.clean {
+                clean.unlink(slot);
             }
         }
-        .expect("evict called on an empty cache");
-        let e = self.entries.remove(&lpn).expect("victim vanished");
-        if e.dirty {
+    }
+
+    /// Picks and removes the policy's victim: the least recently used
+    /// clean entry if clean entries are tracked and there is one, else the
+    /// least recently used entry. Caller guarantees the cache is non-empty.
+    fn evict(&mut self) -> Eviction {
+        let slot = self
+            .clean
+            .as_ref()
+            .and_then(SlotList::front)
+            .or_else(|| self.lru.front())
+            .expect("evict called on an empty cache");
+        let lpn = self.slot_lpn[slot as usize];
+        let dirty = self.slot_dirty[slot as usize];
+        self.entries.remove(&lpn).expect("victim vanished");
+        self.lru.unlink(slot);
+        if dirty {
+            self.dirty_count -= 1;
             self.dirty_evicts += 1;
+        } else if let Some(clean) = &mut self.clean {
+            clean.unlink(slot);
         }
-        Eviction {
-            lpn,
-            slot: e.slot,
-            dirty: e.dirty,
-        }
+        Eviction { lpn, slot, dirty }
     }
 }
 

@@ -200,18 +200,78 @@ pub fn execute_traced(
     op_id: u64,
     sink: &mut dyn TraceSink,
 ) -> Result<Outcome, ChannelError> {
+    execute_with(
+        &mut EmitScratch::default(),
+        channel,
+        dram,
+        cfg,
+        start,
+        txn,
+        op_id,
+        sink,
+    )
+}
+
+/// Working buffers of [`execute_with`]. A caller that plays many
+/// transactions (the software runtime) keeps one and passes it to every
+/// call, so steady-state emission allocates nothing; the buffers are
+/// emptied before each call returns, so no phase (and no pooled page
+/// buffer) outlives its transaction.
+#[derive(Debug, Default)]
+pub struct EmitScratch {
+    phases: Vec<BusPhase>,
+    /// (length, dest) of each data-out burst, to split the returned byte
+    /// stream afterwards.
+    reads: Vec<(usize, DmaDest)>,
+    /// Phase index where each instruction's waveform starts (traced runs
+    /// only).
+    instr_marks: Vec<usize>,
+    /// (DRAM base, bytes written so far) per DRAM-bound reader target.
+    dram_offsets: Vec<(u64, u64)>,
+}
+
+/// [`execute_traced`] on caller-owned working buffers.
+#[allow(clippy::too_many_arguments)]
+pub fn execute_with(
+    scratch: &mut EmitScratch,
+    channel: &mut Channel,
+    dram: &mut Dram,
+    cfg: &EmitConfig,
+    start: SimTime,
+    txn: &Transaction,
+    op_id: u64,
+    sink: &mut dyn TraceSink,
+) -> Result<Outcome, ChannelError> {
     // Debug builds verify the transaction before playing it (see
     // `hook`); release builds compile this line out entirely.
     #[cfg(debug_assertions)]
     crate::hook::run(channel, txn);
+    let result = emit(scratch, channel, dram, cfg, start, txn, op_id, sink);
+    scratch.phases.clear();
+    scratch.reads.clear();
+    scratch.instr_marks.clear();
+    scratch.dram_offsets.clear();
+    result
+}
+
+#[allow(clippy::too_many_arguments)]
+fn emit(
+    scratch: &mut EmitScratch,
+    channel: &mut Channel,
+    dram: &mut Dram,
+    cfg: &EmitConfig,
+    start: SimTime,
+    txn: &Transaction,
+    op_id: u64,
+    sink: &mut dyn TraceSink,
+) -> Result<Outcome, ChannelError> {
     let trace_on = sink.is_enabled();
-    let mut phases = Vec::new();
-    // (phase index, length, dest) for each data-out burst, to split the
-    // returned byte stream afterwards.
-    let mut reads: Vec<(usize, DmaDest)> = Vec::new();
-    // Phase index where each instruction's waveform starts (traced runs
-    // only; the disabled path must not allocate beyond `execute`'s own).
-    let mut instr_marks: Vec<usize> = Vec::new();
+    let EmitScratch {
+        phases,
+        reads,
+        instr_marks,
+        dram_offsets,
+    } = scratch;
     for instr in txn.instrs() {
         if trace_on {
             instr_marks.push(phases.len());
@@ -268,7 +328,7 @@ pub fn execute_traced(
             }
         }
     }
-    let tx = channel.transmit_traced(start, txn.chip_mask(), &phases, op_id, sink)?;
+    let tx = channel.transmit_traced(start, txn.chip_mask(), phases, op_id, sink)?;
     sink.count(
         Component::Ufsm,
         Counter::InstrsDispatched,
@@ -278,7 +338,7 @@ pub fn execute_traced(
         let lun = txn.chip_mask().iter().next().unwrap_or(0);
         let mut t = start;
         let mut next_phase = 0usize;
-        for &mark in &instr_marks {
+        for &mark in instr_marks.iter() {
             while next_phase < mark {
                 t += phases[next_phase].duration;
                 next_phase += 1;
@@ -295,14 +355,22 @@ pub fn execute_traced(
     // Split the returned stream across the data readers.
     let mut inline = Vec::new();
     let mut cursor = 0usize;
-    let mut dram_offsets: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-    for (len, dest) in reads {
+    for &(len, dest) in reads.iter() {
         let chunk = &tx.data[cursor..cursor + len];
         cursor += len;
         match dest {
             DmaDest::Inline => inline.extend_from_slice(chunk),
             DmaDest::Dram(base) => {
-                let off = dram_offsets.entry(base).or_insert(0);
+                // A transaction has a reader or two, so a linear scan beats
+                // any map.
+                let i = match dram_offsets.iter().position(|&(b, _)| b == base) {
+                    Some(i) => i,
+                    None => {
+                        dram_offsets.push((base, 0));
+                        dram_offsets.len() - 1
+                    }
+                };
+                let off = &mut dram_offsets[i].1;
                 dram.write(base + *off, chunk);
                 *off += len as u64;
             }

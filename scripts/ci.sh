@@ -63,6 +63,18 @@ cargo test --offline -q --test envelope_audit
 step "FTL property suite (wear/bad-block/cache differential models)"
 cargo test --offline -q --test properties -- ftl_ cache
 
+# The committed paper outputs are the fixed point: each fast repro binary
+# must print its results/*.txt byte for byte. repro_fig10 and repro_fig12
+# are left out until their committed files are regenerated (ROADMAP:
+# "Stale committed repro outputs").
+step "repro output drift gate (8 fast repro binaries vs results/*.txt)"
+for b in repro_table1 repro_table2 repro_table3 repro_fig11 \
+         repro_ablation_lookahead repro_ablation_polling \
+         repro_ablation_sched repro_ablation_switchcost; do
+  cargo run --release --offline -q -p babol-bench --bin "$b" \
+    | diff -u "results/$b.txt" -
+done
+
 # perfbench/ is a package of its own (own workspace), so the workspace
 # test run never reaches its tests. Release, because a debug simulator
 # makes its device set-up slow.
