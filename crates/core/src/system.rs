@@ -169,6 +169,13 @@ impl System {
         self.events.peek_time()
     }
 
+    /// Events popped since construction, by any driver loop (the engine,
+    /// the SSD host driver, inline GC and cache flushes): the queue's
+    /// pushes minus its pending events.
+    pub fn events_popped(&self) -> u64 {
+        self.events.pushed() - self.events.len() as u64
+    }
+
     /// Removes the earliest pending event. Intended for drivers that own
     /// the event loop (the engine, the SSD host driver).
     pub fn pop_event(&mut self) -> Option<(SimTime, Event)> {

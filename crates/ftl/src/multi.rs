@@ -197,7 +197,8 @@ pub struct ShardDigest {
     pub shard: u32,
     /// The shard's clock at shutdown.
     pub now: SimTime,
-    /// Events the shard's driver loop processed.
+    /// Events the shard popped, including those popped inside inline GC
+    /// and cache flushes.
     pub events: u64,
     /// GC cycles the shard ran.
     pub gc_cycles: u64,
@@ -227,7 +228,6 @@ pub struct ChannelShard {
     /// Prepared requests the controller has not yet admitted, FIFO.
     pending: VecDeque<IoRequest>,
     scratch: Vec<(IoRequest, SimTime)>,
-    events: u64,
     seen_gc: u64,
     /// Totals already reported through [`ShardEvent::Meter`].
     metered: MeterTotals,
@@ -293,7 +293,6 @@ impl ChannelShard {
             inbox: VecDeque::new(),
             pending: VecDeque::new(),
             scratch: Vec::new(),
-            events: 0,
             seen_gc: 0,
             metered: MeterTotals::default(),
         }
@@ -438,7 +437,6 @@ impl Shard for ChannelShard {
             let (at, ev) = self.sys.pop_event().expect("peeked event vanished");
             debug_assert!(at >= self.sys.now, "shard time ran backwards");
             self.sys.now = at;
-            self.events += 1;
             self.ctrl.on_event(&mut self.sys, ev);
         }
         self.harvest(out);
@@ -462,7 +460,7 @@ impl Shard for ChannelShard {
     }
 
     fn events_processed(&self) -> u64 {
-        self.events
+        self.sys.events_popped()
     }
 
     fn finish(mut self) -> ShardDigest {
@@ -470,7 +468,7 @@ impl Shard for ChannelShard {
         ShardDigest {
             shard: self.id,
             now: self.sys.now,
-            events: self.events,
+            events: self.sys.events_popped(),
             gc_cycles: self.ssd.gc_cycles,
             energy_pj: self.ssd.energy().total_pj(),
             blocks_retired: self.ssd.blocks_retired(),

@@ -8,7 +8,7 @@ BABOL_BENCH_REGRESSION_PCT percent (default 25) AFTER normalizing out the
 host-speed difference between the machine that recorded the baseline and
 the machine running now. Gated benchmarks are the simulator-throughput
 paths — names starting with one of GATED_PREFIXES — because those are the
-ones the zero-copy data path and the calendar event queue are accountable
+ones the zero-copy data path and the event queue are accountable
 for. Latency microbenches (table1/fig10/table3) and the loc counter are
 reported but not gated: their medians swing with host load far more than
 25%.

@@ -145,7 +145,8 @@ fn event_queue_is_stable_priority() {
 
 /// The queue stays a stable priority queue under sustained load with
 /// interleaved pops: 10k pushes per case, times drawn from a narrow range
-/// so ties are dense, checked against a `BTreeMap<time, FIFO>` model.
+/// so ties are dense, checked against a `BTreeMap<time, FIFO>` model, with
+/// `peek_time` and `len` checked before every pop.
 #[test]
 fn event_queue_survives_mixed_10k_pushes() {
     Property::new("event_queue_survives_mixed_10k_pushes")
@@ -155,16 +156,22 @@ fn event_queue_survives_mixed_10k_pushes() {
             let mut rng = babol_sim::rng::SplitMix64::new(seed);
             let mut q = EventQueue::new();
             let mut model: BTreeMap<u64, VecDeque<usize>> = BTreeMap::new();
+            let mut pending = 0usize;
             for i in 0..10_000usize {
                 let t = rng.next_below(spread);
                 q.push(SimTime::from_picos(t), i);
                 model.entry(t).or_default().push_back(i);
+                pending += 1;
                 // Interleave pops (~1 in 3) so the heap churns instead of
                 // only growing. (No global monotonic check: a push behind
                 // an already-popped time is legal, only earliest-first
                 // relative to the *current* contents is guaranteed.)
                 if rng.next_below(3) == 0 {
+                    let first = model.keys().next().copied();
+                    prop_assert_eq!(q.peek_time().map(SimTime::as_picos), first);
+                    prop_assert_eq!(q.len(), pending);
                     let (pt, pi) = q.pop().expect("queue has pending events");
+                    pending -= 1;
                     let entry = model.first_entry().expect("model has pending events");
                     prop_assert_eq!(*entry.key(), pt.as_picos(), "wrong time popped");
                     let mut fifo = entry;
@@ -176,7 +183,12 @@ fn event_queue_survives_mixed_10k_pushes() {
                 }
             }
             // Drain the rest; the queue and the model must agree exactly.
-            while let Some((pt, pi)) = q.pop() {
+            loop {
+                let first = model.keys().next().copied();
+                prop_assert_eq!(q.peek_time().map(SimTime::as_picos), first);
+                prop_assert_eq!(q.len(), pending);
+                let Some((pt, pi)) = q.pop() else { break };
+                pending -= 1;
                 let mut entry = model.first_entry().expect("model matches queue length");
                 prop_assert_eq!(*entry.key(), pt.as_picos());
                 prop_assert_eq!(pi, entry.get_mut().pop_front().expect("nonempty bucket"));
@@ -189,9 +201,10 @@ fn event_queue_survives_mixed_10k_pushes() {
         });
 }
 
-/// The calendar queue agrees with a `BTreeMap` model when event times span
-/// every wheel level: L0 grains, L1 cascades, the overflow heap, and
-/// `SimTime::FAR_FUTURE` itself — 10k mixed pushes and pops per case.
+/// The queue agrees with a `BTreeMap` model when event times span every
+/// magnitude from picoseconds to `SimTime::FAR_FUTURE` itself — 10k mixed
+/// pushes and pops per case, with `peek_time` and `len` checked before
+/// every pop.
 #[test]
 fn event_queue_spans_wheel_levels_matches_model() {
     Property::new("event_queue_spans_wheel_levels_matches_model")
@@ -201,6 +214,7 @@ fn event_queue_spans_wheel_levels_matches_model() {
             let mut rng = babol_sim::rng::SplitMix64::new(seed);
             let mut q = EventQueue::new();
             let mut model: BTreeMap<u64, VecDeque<usize>> = BTreeMap::new();
+            let mut pending = 0usize;
             for i in 0..10_000usize {
                 // A random right-shift spreads times across all magnitudes,
                 // with an occasional FAR_FUTURE sentinel.
@@ -211,8 +225,13 @@ fn event_queue_spans_wheel_levels_matches_model() {
                 };
                 q.push(SimTime::from_picos(t), i);
                 model.entry(t).or_default().push_back(i);
+                pending += 1;
                 if rng.next_below(3) == 0 {
+                    let first = model.keys().next().copied();
+                    prop_assert_eq!(q.peek_time().map(SimTime::as_picos), first);
+                    prop_assert_eq!(q.len(), pending);
                     let (pt, pi) = q.pop().expect("queue has pending events");
+                    pending -= 1;
                     let mut entry = model.first_entry().expect("model has pending events");
                     prop_assert_eq!(*entry.key(), pt.as_picos(), "wrong time popped");
                     let want = entry.get_mut().pop_front().expect("nonempty bucket");
@@ -222,7 +241,12 @@ fn event_queue_spans_wheel_levels_matches_model() {
                     }
                 }
             }
-            while let Some((pt, pi)) = q.pop() {
+            loop {
+                let first = model.keys().next().copied();
+                prop_assert_eq!(q.peek_time().map(SimTime::as_picos), first);
+                prop_assert_eq!(q.len(), pending);
+                let Some((pt, pi)) = q.pop() else { break };
+                pending -= 1;
                 let mut entry = model.first_entry().expect("model matches queue length");
                 prop_assert_eq!(*entry.key(), pt.as_picos());
                 prop_assert_eq!(pi, entry.get_mut().pop_front().expect("nonempty bucket"));

@@ -27,9 +27,8 @@ type Op = (u64, u64);
 /// One output record: `(time, shard, remaining echo count)`.
 type Rec = (SimTime, u32, u64);
 
-/// A deterministic toy shard: its own clock, its own adaptive-wheel event
-/// queue, and a per-shard service time so schedules interleave unevenly
-/// across shards.
+/// A deterministic toy shard: its own clock, its own event queue, and a
+/// per-shard service time so schedules interleave unevenly across shards.
 struct ScriptShard {
     id: u32,
     now: SimTime,
