@@ -1244,7 +1244,7 @@ mod tests {
         let r = ssd.run(&mut sys, &mut ctrl, wl);
         assert!(r.gc_cycles > 0, "workload must reach GC");
         let hub = ssd.metrics();
-        let frames = hub.frames();
+        let frames: Vec<_> = hub.frames().collect();
         assert_eq!(
             frames.len() as u64,
             hub.end_ps() / window.as_picos() + 1,

@@ -38,7 +38,7 @@ impl Histogram {
     }
 
     #[inline]
-    fn bucket_of(ps: u64) -> usize {
+    pub(crate) fn bucket_of(ps: u64) -> usize {
         (u64::BITS - ps.leading_zeros()) as usize
     }
 

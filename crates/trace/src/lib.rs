@@ -27,6 +27,7 @@
 mod export;
 mod hist;
 mod interval;
+mod lane;
 mod metrics;
 mod parse;
 mod phase;

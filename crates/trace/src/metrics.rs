@@ -2,12 +2,12 @@
 //!
 //! A [`MetricsHub`] slices simulated time into fixed windows (`[k·W,
 //! (k+1)·W)` picoseconds from time zero) and accumulates one
-//! [`MetricsFrame`] per window. It is fed two ways, both cheap:
+//! [`MetricsFrame`]'s worth of values per window. It is fed two ways,
+//! both cheap:
 //!
 //! * **Latency observations** — each completed host op is routed to the
-//!   frame containing its *completion* timestamp and recorded into that
-//!   frame's [`Histogram`], which the frame allocates on its first record
-//!   (shard hubs only count ops, so their frames never allocate one).
+//!   window containing its *completion* timestamp and recorded into that
+//!   window's latency histogram (count, sum, maximum and log2 buckets).
 //!   Because routing is by timestamp, merging the per-window histograms
 //!   reproduces the whole-run histogram exactly (bucket-for-bucket — the
 //!   property test in `tests/properties.rs` checks this), and ops
@@ -21,6 +21,17 @@
 //!   window's closing values. No new hot-path events exist: sampling cost
 //!   is a dozen integer subtractions per driver-loop iteration, and the
 //!   disabled hub costs one predictable branch.
+//!
+//! **Storage.** The hub keeps no frame structs. Each frame field —
+//! counters, gauges, `lat_count`, `lat_sum_ps`, `lat_max_ps` and one lane
+//! per histogram bucket — is a column lane indexed by window (see
+//! `lane.rs`): empty while every value it has seen is zero, otherwise
+//! stored at the narrowest integer width that fits, widened in place the
+//! first time a value does not. A window's index is its position in the
+//! lanes. Lanes are random-access, so completions that land in an earlier
+//! window stay exact. [`MetricsHub::frame`] and [`MetricsHub::frames`]
+//! materialise [`MetricsFrame`]s on demand; a [`MetricsSeries`] builds
+//! its `Vec`s once, at end of run.
 //!
 //! Frames from a run (or from every shard of a [`MultiSsd`]-style run)
 //! assemble into a [`MetricsSeries`], which exports as a stable
@@ -38,7 +49,8 @@ use std::path::Path;
 
 use babol_sim::{SimDuration, SimTime};
 
-use crate::hist::Histogram;
+use crate::hist::{Histogram, BUCKETS};
+use crate::lane::Lane;
 use crate::parse::fields;
 use crate::slo::{SloSpec, SloVerdict};
 use crate::ParseError;
@@ -112,8 +124,8 @@ pub struct MetricsFrame {
     pub free_blocks: u32,
     /// Worst wear spread at the last sample in the window (gauge).
     pub wear_spread: u32,
-    /// Latencies of ops whose completion fell in the window; allocated on
-    /// the first record, `None` while the window has recorded none.
+    /// Latencies of ops whose completion fell in the window; `None` while
+    /// the window has recorded none.
     lat: Option<Box<Histogram>>,
 }
 
@@ -127,8 +139,9 @@ impl MetricsFrame {
         self.lat.as_deref().unwrap_or(&NO_LATENCIES)
     }
 
-    /// Records one latency, allocating the histogram on first use.
-    fn record_latency(&mut self, latency: SimDuration) {
+    /// Records one latency into the frame's histogram, allocating it on
+    /// first use. Does not count an op: `ops` is the caller's to bump.
+    pub fn record_latency(&mut self, latency: SimDuration) {
         self.lat.get_or_insert_with(Box::default).record(latency);
     }
 
@@ -155,6 +168,31 @@ impl MetricsFrame {
     }
 }
 
+/// A frame field stored as one [`Lane`] in [`MetricsHub`]; the
+/// discriminant is the lane's index.
+#[derive(Clone, Copy)]
+enum Col {
+    Ops,
+    CacheHits,
+    CacheMisses,
+    CacheDirtyEvicts,
+    GcCycles,
+    EnergyPj,
+    WearMigrations,
+    BlocksRetired,
+    QueueDepth,
+    CacheDirty,
+    CacheLen,
+    FreeBlocks,
+    WearSpread,
+    LatCount,
+    LatSumPs,
+    LatMaxPs,
+}
+
+/// Number of [`Col`] lanes.
+const COLS: usize = Col::LatMaxPs as usize + 1;
+
 /// Windowed telemetry collector. Starts disabled (every record method is
 /// an early return on one `bool`); [`MetricsHub::new`] turns it on.
 #[derive(Debug, Clone)]
@@ -165,7 +203,12 @@ pub struct MetricsHub {
     primed: bool,
     base: MetricsSnapshot,
     end_ps: u64,
-    frames: Vec<MetricsFrame>,
+    /// Windows covered: one past the highest window index seen.
+    len: usize,
+    /// One lane per frame field, indexed by [`Col`].
+    cols: [Lane; COLS],
+    /// One lane per latency bucket; empty until the first latency.
+    lat_buckets: Vec<Lane>,
 }
 
 impl Default for MetricsHub {
@@ -184,13 +227,15 @@ impl MetricsHub {
             primed: false,
             base: MetricsSnapshot::default(),
             end_ps: 0,
-            frames: Vec::new(),
+            len: 0,
+            cols: Default::default(),
+            lat_buckets: Vec::new(),
         }
     }
 
     /// An enabled hub with the given window. Windows shorter than 1 ns are
-    /// clamped up: frame storage is dense in window index, so a picosecond
-    /// window over a millisecond run would allocate a billion frames.
+    /// clamped up: storage is dense in window index, so a picosecond
+    /// window over a millisecond run would cover a billion windows.
     pub fn new(window: SimDuration) -> Self {
         let mut hub = MetricsHub::disabled();
         hub.enabled = true;
@@ -224,23 +269,74 @@ impl MetricsHub {
         self.end_ps
     }
 
-    /// The frames collected so far, one per window, index-contiguous from
-    /// window 0 (quiet windows are present but empty).
-    pub fn frames(&self) -> &[MetricsFrame] {
-        &self.frames
+    /// Number of windows covered so far: one past the highest window any
+    /// record or [`MetricsHub::touch`] reached (quiet windows count).
+    pub fn frame_count(&self) -> usize {
+        self.len
     }
 
-    fn frame_at(&mut self, at_ps: u64) -> &mut MetricsFrame {
-        let idx = at_ps / self.window_ps;
-        while self.frames.len() <= idx as usize {
-            let index = self.frames.len() as u64;
-            self.frames.push(MetricsFrame {
-                index,
-                ..MetricsFrame::default()
-            });
+    /// Materialises window `i`'s frame. Windows past
+    /// [`MetricsHub::frame_count`] are quiet: every value is zero.
+    pub fn frame(&self, i: usize) -> MetricsFrame {
+        let get = |c: Col| self.cols[c as usize].get(i);
+        let count = get(Col::LatCount) as u64;
+        let lat = (count != 0).then(|| {
+            let mut h = Histogram::new();
+            for (b, lane) in self.lat_buckets.iter().enumerate() {
+                h.load_bucket(b, lane.get(i) as u64)
+                    .expect("one lane per bucket");
+            }
+            h.load_summary(count, get(Col::LatSumPs), get(Col::LatMaxPs) as u64)
+                .expect("bucket lanes add up to lat_count");
+            Box::new(h)
+        });
+        MetricsFrame {
+            index: i as u64,
+            ops: get(Col::Ops) as u64,
+            cache_hits: get(Col::CacheHits) as u64,
+            cache_misses: get(Col::CacheMisses) as u64,
+            cache_dirty_evicts: get(Col::CacheDirtyEvicts) as u64,
+            gc_cycles: get(Col::GcCycles) as u64,
+            energy_pj: get(Col::EnergyPj) as u64,
+            wear_migrations: get(Col::WearMigrations) as u64,
+            blocks_retired: get(Col::BlocksRetired) as u64,
+            queue_depth: get(Col::QueueDepth) as u32,
+            cache_dirty: get(Col::CacheDirty) as u32,
+            cache_len: get(Col::CacheLen) as u32,
+            free_blocks: get(Col::FreeBlocks) as u32,
+            wear_spread: get(Col::WearSpread) as u32,
+            lat,
         }
+    }
+
+    /// The frames collected so far, materialised one per window,
+    /// index-contiguous from window 0 (quiet windows are present but
+    /// empty).
+    pub fn frames(&self) -> impl ExactSizeIterator<Item = MetricsFrame> + '_ {
+        (0..self.len).map(|i| self.frame(i))
+    }
+
+    /// Heap bytes held by the hub's lanes (allocated capacity).
+    pub fn heap_bytes(&self) -> usize {
+        let lanes: usize = self
+            .cols
+            .iter()
+            .chain(&self.lat_buckets)
+            .map(Lane::heap_bytes)
+            .sum();
+        lanes + self.lat_buckets.capacity() * std::mem::size_of::<Lane>()
+    }
+
+    /// The window containing `at_ps`, extending the covered span to it.
+    fn slot(&mut self, at_ps: u64) -> usize {
+        let idx = (at_ps / self.window_ps) as usize;
+        self.len = self.len.max(idx + 1);
         self.end_ps = self.end_ps.max(at_ps);
-        &mut self.frames[idx as usize]
+        idx
+    }
+
+    fn col(&mut self, c: Col) -> &mut Lane {
+        &mut self.cols[c as usize]
     }
 
     /// Establishes the delta baseline without attributing anything — call
@@ -268,19 +364,38 @@ impl MetricsHub {
             self.primed = true;
         }
         let base = self.base;
-        let f = self.frame_at(now.as_picos());
-        f.cache_hits += snap.cache_hits - base.cache_hits;
-        f.cache_misses += snap.cache_misses - base.cache_misses;
-        f.cache_dirty_evicts += snap.cache_dirty_evicts - base.cache_dirty_evicts;
-        f.gc_cycles += snap.gc_cycles - base.gc_cycles;
-        f.energy_pj += snap.energy_pj - base.energy_pj;
-        f.wear_migrations += snap.wear_migrations - base.wear_migrations;
-        f.blocks_retired += snap.blocks_retired - base.blocks_retired;
-        f.queue_depth = snap.queue_depth;
-        f.cache_dirty = snap.cache_dirty;
-        f.cache_len = snap.cache_len;
-        f.free_blocks = snap.free_blocks;
-        f.wear_spread = snap.wear_spread;
+        let i = self.slot(now.as_picos());
+        let deltas = [
+            (Col::CacheHits, snap.cache_hits - base.cache_hits),
+            (Col::CacheMisses, snap.cache_misses - base.cache_misses),
+            (
+                Col::CacheDirtyEvicts,
+                snap.cache_dirty_evicts - base.cache_dirty_evicts,
+            ),
+            (Col::GcCycles, snap.gc_cycles - base.gc_cycles),
+            (Col::EnergyPj, snap.energy_pj - base.energy_pj),
+            (
+                Col::WearMigrations,
+                snap.wear_migrations - base.wear_migrations,
+            ),
+            (
+                Col::BlocksRetired,
+                snap.blocks_retired - base.blocks_retired,
+            ),
+        ];
+        for (c, d) in deltas {
+            self.col(c).add(i, d.into());
+        }
+        let gauges = [
+            (Col::QueueDepth, snap.queue_depth),
+            (Col::CacheDirty, snap.cache_dirty),
+            (Col::CacheLen, snap.cache_len),
+            (Col::FreeBlocks, snap.free_blocks),
+            (Col::WearSpread, snap.wear_spread),
+        ];
+        for (c, g) in gauges {
+            self.col(c).set(i, g.into());
+        }
         self.base = *snap;
     }
 
@@ -291,9 +406,16 @@ impl MetricsHub {
         if !self.enabled {
             return;
         }
-        let f = self.frame_at(completed_at.as_picos());
-        f.ops += 1;
-        f.record_latency(latency);
+        let i = self.slot(completed_at.as_picos());
+        let ps = latency.as_picos();
+        self.col(Col::Ops).add(i, 1);
+        self.col(Col::LatCount).add(i, 1);
+        self.col(Col::LatSumPs).add(i, ps.into());
+        self.col(Col::LatMaxPs).raise(i, ps.into());
+        if self.lat_buckets.is_empty() {
+            self.lat_buckets.resize_with(BUCKETS, Lane::default);
+        }
+        self.lat_buckets[Histogram::bucket_of(ps)].add(i, 1);
     }
 
     /// Counts one completed op without a latency (used by shard hubs in a
@@ -304,24 +426,35 @@ impl MetricsHub {
         if !self.enabled {
             return;
         }
-        self.frame_at(completed_at.as_picos()).ops += 1;
+        let i = self.slot(completed_at.as_picos());
+        self.col(Col::Ops).add(i, 1);
     }
 
-    /// Extends the frame vector to cover `now`, so a run that went quiet
-    /// still closes with `floor(end/W) + 1` frames.
+    /// Extends the covered span to `now`, so a run that went quiet still
+    /// closes with `floor(end/W) + 1` frames.
     pub fn touch(&mut self, now: SimTime) {
         if !self.enabled {
             return;
         }
-        self.frame_at(now.as_picos());
+        self.slot(now.as_picos());
     }
 
     /// All per-window latency histograms merged into one.
     pub fn merged_latency(&self) -> Histogram {
+        let total = |lane: &Lane| lane.values().sum::<u128>();
+        let col = |c: Col| &self.cols[c as usize];
         let mut h = Histogram::new();
-        for f in &self.frames {
-            h.merge(f.lat());
+        for (b, lane) in self.lat_buckets.iter().enumerate() {
+            h.load_bucket(b, total(lane) as u64)
+                .expect("one lane per bucket");
         }
+        let max = col(Col::LatMaxPs).values().max().unwrap_or(0);
+        h.load_summary(
+            total(col(Col::LatCount)) as u64,
+            total(col(Col::LatSumPs)),
+            max as u64,
+        )
+        .expect("bucket lanes add up to lat_count");
         h
     }
 }
@@ -343,17 +476,6 @@ pub struct MetricsSeries {
     pub per_shard: Vec<Vec<MetricsFrame>>,
 }
 
-/// Pads `frames` with empty frames until it has `len` entries.
-fn pad_frames(frames: &mut Vec<MetricsFrame>, len: usize) {
-    while frames.len() < len {
-        let index = frames.len() as u64;
-        frames.push(MetricsFrame {
-            index,
-            ..MetricsFrame::default()
-        });
-    }
-}
-
 impl MetricsSeries {
     /// A series from a single-system run: the one hub's frames are the
     /// device frames.
@@ -362,7 +484,7 @@ impl MetricsSeries {
             window_ps: hub.window_ps,
             shards: 1,
             end_ps: hub.end_ps,
-            device: hub.frames.clone(),
+            device: hub.frames().collect(),
             per_shard: Vec::new(),
         }
     }
@@ -371,22 +493,21 @@ impl MetricsSeries {
     /// latencies observed at the coordinator; `shard_hubs[s]` carries
     /// shard `s`'s counters and gauges. Device frames take latencies from
     /// the coordinator and sum counters (and gauges, which are per-shard
-    /// quantities like queue depth) across shards.
+    /// quantities like queue depth) across shards. Every hub is
+    /// materialised to the longest hub's frame count.
     pub fn from_shards(device_hub: &MetricsHub, shard_hubs: &[&MetricsHub]) -> MetricsSeries {
         let window_ps = device_hub.window_ps;
         let mut end_ps = device_hub.end_ps;
-        let mut len = device_hub.frames.len();
+        let mut len = device_hub.len;
         for h in shard_hubs {
             debug_assert_eq!(h.window_ps, window_ps, "shard hubs must share the window");
             end_ps = end_ps.max(h.end_ps);
-            len = len.max(h.frames.len());
+            len = len.max(h.len);
         }
-        let mut device = device_hub.frames.clone();
-        pad_frames(&mut device, len);
+        let mut device: Vec<MetricsFrame> = (0..len).map(|i| device_hub.frame(i)).collect();
         let mut per_shard = Vec::with_capacity(shard_hubs.len());
         for h in shard_hubs {
-            let mut frames = h.frames.clone();
-            pad_frames(&mut frames, len);
+            let frames: Vec<MetricsFrame> = (0..len).map(|i| h.frame(i)).collect();
             for (d, s) in device.iter_mut().zip(frames.iter()) {
                 d.cache_hits += s.cache_hits;
                 d.cache_misses += s.cache_misses;
@@ -559,18 +680,24 @@ pub fn parse_metrics_lines(text: &str) -> Result<ParsedMetrics, ParseError> {
         }
         let fields = fields(line).ok_or_else(|| err("not a flat JSON object"))?;
         let get = |key: &str| fields.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v);
-        let get_u64 = |key: &str| -> Result<u64, ParseError> {
+        let get_u128 = |key: &str| -> Result<u128, ParseError> {
             get(key)
                 .ok_or_else(|| err(&format!("missing {key}")))?
                 .parse()
                 .map_err(|_| err(&format!("bad {key}")))
+        };
+        let get_u64 = |key: &str| -> Result<u64, ParseError> {
+            u64::try_from(get_u128(key)?).map_err(|_| err(&format!("{key} out of range")))
+        };
+        let get_u32 = |key: &str| -> Result<u32, ParseError> {
+            u32::try_from(get_u128(key)?).map_err(|_| err(&format!("{key} out of range")))
         };
         if let Some(schema) = get("schema") {
             if schema != format!("\"{METRICS_SCHEMA}\"") {
                 return Err(err("unknown metrics schema"));
             }
             window_ps = get_u64("window_ps")?;
-            shards = get_u64("shards")? as u32;
+            shards = get_u32("shards")?;
             saw_header = true;
             continue;
         }
@@ -617,11 +744,11 @@ pub fn parse_metrics_lines(text: &str) -> Result<ParsedMetrics, ParseError> {
             energy_pj: get_u64("energy_pj")?,
             wear_migrations: get_u64("wear_migrations")?,
             blocks_retired: get_u64("blocks_retired")?,
-            queue_depth: get_u64("qd")? as u32,
-            cache_dirty: get_u64("cache_dirty")? as u32,
-            cache_len: get_u64("cache_len")? as u32,
-            free_blocks: get_u64("free_blocks")? as u32,
-            wear_spread: get_u64("wear_spread")? as u32,
+            queue_depth: get_u32("qd")?,
+            cache_dirty: get_u32("cache_dirty")?,
+            cache_len: get_u32("cache_len")?,
+            free_blocks: get_u32("free_blocks")?,
+            wear_spread: get_u32("wear_spread")?,
             lat: None,
         };
         let buckets = get("lat_buckets")
@@ -637,12 +764,8 @@ pub fn parse_metrics_lines(text: &str) -> Result<ParsedMetrics, ParseError> {
             lat.load_bucket(b, n)
                 .map_err(|_| err("bucket index out of range"))?;
         }
-        lat.load_summary(
-            get_u64("lat_count")?,
-            u128::from(get_u64("lat_sum_ps")?),
-            max_ps,
-        )
-        .map_err(|_| err("bucket counts disagree with lat_count"))?;
+        lat.load_summary(get_u64("lat_count")?, get_u128("lat_sum_ps")?, max_ps)
+            .map_err(|_| err("bucket counts disagree with lat_count"))?;
         // An empty summary is all zeros, so leaving it unallocated loses
         // nothing on re-export.
         f.lat = (!lat.is_empty()).then(|| Box::new(lat));
@@ -893,7 +1016,7 @@ mod tests {
         hub.sample(at(5), &MetricsSnapshot::default());
         hub.touch(at(1 << 40));
         assert!(!hub.is_enabled());
-        assert!(hub.frames().is_empty());
+        assert_eq!(hub.frame_count(), 0);
     }
 
     #[test]
@@ -905,7 +1028,7 @@ mod tests {
         hub.observe_latency(at(3 * w + 5), ps(300));
         // Out-of-order arrival for an earlier window still lands there.
         hub.observe_latency(at(w + 2), ps(400));
-        let frames = hub.frames();
+        let frames: Vec<MetricsFrame> = hub.frames().collect();
         assert_eq!(frames.len(), 4);
         assert_eq!(frames[0].ops, 1);
         assert_eq!(frames[1].ops, 2);
@@ -933,7 +1056,7 @@ mod tests {
         snap.energy_pj = 6_000;
         snap.queue_depth = 2;
         hub.sample(at(w + 10), &snap);
-        let frames = hub.frames();
+        let frames: Vec<MetricsFrame> = hub.frames().collect();
         assert_eq!(frames[0].cache_hits, 10);
         assert_eq!(frames[0].energy_pj, 400);
         assert_eq!(frames[0].queue_depth, 4);
@@ -948,7 +1071,7 @@ mod tests {
         let mut hub = MetricsHub::new(ps(w));
         hub.observe_latency(at(10), ps(1));
         hub.touch(at(5 * w + 1));
-        assert_eq!(hub.frames().len(), 6);
+        assert_eq!(hub.frame_count(), 6);
         assert_eq!(hub.end_ps(), 5 * w + 1);
     }
 
@@ -959,7 +1082,7 @@ mod tests {
         hub.note_op(at(10));
         hub.sample(at(w + 10), &MetricsSnapshot::default());
         hub.observe_latency(at(2 * w + 10), ps(7));
-        let frames = hub.frames();
+        let frames: Vec<MetricsFrame> = hub.frames().collect();
         assert!(frames[0].lat.is_none() && frames[1].lat.is_none());
         assert!(frames[0].lat().is_empty());
         assert_eq!(frames[2].lat().count(), 1);
@@ -1045,6 +1168,45 @@ mod tests {
         // Corrupting a bucket count must fail the count cross-check.
         let bad = good.replace("\"lat_count\":1", "\"lat_count\":7");
         assert!(parse_metrics_lines(&bad).is_err());
+    }
+
+    #[test]
+    fn parse_roundtrips_latency_sums_past_u64() {
+        let mut hub = MetricsHub::new(ps(1_000_000));
+        hub.observe_latency(at(10), ps(u64::MAX));
+        hub.observe_latency(at(20), ps(u64::MAX));
+        let series = MetricsSeries::from_hub(&hub);
+        let text = series.to_json_lines(&[]);
+        let sum = 2 * u128::from(u64::MAX);
+        assert!(text.contains(&format!("\"lat_sum_ps\":{sum}")));
+        let parsed = parse_metrics_lines(&text).expect("a u128 sum parses");
+        assert_eq!(parsed.series.device[0].lat().sum_ps(), sum);
+        assert_eq!(parsed.series.to_json_lines(&[]), text);
+    }
+
+    #[test]
+    fn parse_rejects_u32_fields_out_of_range() {
+        let text = sample_series().to_json_lines(&[]);
+        for key in [
+            "shards",
+            "qd",
+            "cache_dirty",
+            "cache_len",
+            "free_blocks",
+            "wear_spread",
+        ] {
+            // Overwrite the key's first value with 2^32.
+            let tag = format!("\"{key}\":");
+            let at = text.find(&tag).expect("key exported") + tag.len();
+            let digits = text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+            let bad = format!("{}4294967296{}", &text[..at], &text[at + digits..]);
+            let e = parse_metrics_lines(&bad).expect_err(key);
+            assert!(e.reason.contains(key), "{key}: {}", e.reason);
+            assert!(e.reason.contains("out of range"), "{key}: {}", e.reason);
+            // u32::MAX itself still fits.
+            let max = format!("{}4294967295{}", &text[..at], &text[at + digits..]);
+            assert!(parse_metrics_lines(&max).is_ok(), "{key} at u32::MAX");
+        }
     }
 
     #[test]

@@ -282,7 +282,7 @@ mod tests {
                 hub.observe_latency(at, SimDuration::from_nanos(ns));
             }
         }
-        hub.frames().to_vec()
+        hub.frames().collect()
     }
 
     #[test]

@@ -92,13 +92,21 @@ fn stack(
     (sys, ctrl, ssd)
 }
 
-/// Evaluates `specs` against the device frames, writes the sidecar when a
-/// path was given, and prints one verdict line per objective.
+/// Evaluates the run's `hubs` (device hub first) into a series, writes
+/// the sidecar when a path was given, and prints one verdict line per
+/// objective.
 fn emit_metrics(
-    series: &babol_trace::MetricsSeries,
+    hubs: &[&babol_trace::MetricsHub],
     specs: &[babol_trace::SloSpec],
     path: Option<&str>,
 ) {
+    let series = match hubs {
+        [hub] => babol_trace::MetricsSeries::from_hub(hub),
+        [device, shards @ ..] => babol_trace::MetricsSeries::from_shards(device, shards),
+        [] => unreachable!("a run has a device hub"),
+    };
+    let bytes: usize = hubs.iter().map(|h| h.heap_bytes()).sum();
+    let frames: usize = hubs.iter().map(|h| h.frame_count()).sum();
     let verdicts: Vec<babol_trace::SloVerdict> = specs
         .iter()
         .map(|s| babol_trace::evaluate_slo(s, &series.device, series.window_ps))
@@ -109,9 +117,11 @@ fn emit_metrics(
             std::process::exit(1);
         }
         println!(
-            "metrics: wrote {} frames x {} shard lane(s) to {path}",
+            "metrics: wrote {} frames x {} shard lane(s) to {path} \
+             (hubs held {:.1} B per frame)",
             series.device.len(),
-            series.shards
+            series.shards,
+            bytes as f64 / frames.max(1) as f64
         );
     }
     for v in &verdicts {
@@ -245,10 +255,10 @@ fn run_multi(
     let device_hub = ssd.take_metrics();
     let digests = ssd.finish();
     if metrics_on {
-        let shard_hubs: Vec<&babol_trace::MetricsHub> =
-            digests.iter().map(|d| &d.metrics).collect();
-        let series = babol_trace::MetricsSeries::from_shards(&device_hub, &shard_hubs);
-        emit_metrics(&series, &metrics.specs, metrics.path.as_deref());
+        let hubs: Vec<&babol_trace::MetricsHub> = std::iter::once(&device_hub)
+            .chain(digests.iter().map(|d| &d.metrics))
+            .collect();
+        emit_metrics(&hubs, &metrics.specs, metrics.path.as_deref());
     }
     if cache_pages > 0 || wear_report {
         use babol_trace::Counter;
@@ -477,8 +487,7 @@ fn main() {
     }
 
     if metrics_on {
-        let series = babol_trace::MetricsSeries::from_hub(ssd.metrics());
-        emit_metrics(&series, &metrics.specs, metrics.path.as_deref());
+        emit_metrics(&[ssd.metrics()], &metrics.specs, metrics.path.as_deref());
     }
 
     if let Some(path) = trace_path {

@@ -84,23 +84,25 @@ done
 step "repo benchmark tests (perfbench, release)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-# Mirror of the hosted determinism matrix: both digest tests (plain
-# read path + production FTL with cache, wear leveling, and GC) run once
-# per thread count, and the printed `determinism-digest` lines
-# (3 read seeds + 2 production seeds, x 3 legs = 15 digests) must be
-# byte-identical across legs. `--test-threads=1` keeps the two tests'
-# printed lines from interleaving mid-line.
-step "determinism matrix (BABOL_THREADS 1/2/8 x 5 seeds)"
+# Mirror of the hosted determinism matrix: the three digest tests (plain
+# read path, production FTL with cache, wear leveling, and GC, and the
+# golden metrics sidecar) run once per thread count, and the printed
+# `determinism-digest` lines (3 read seeds + 2 production seeds + 1
+# sidecar, x 3 legs = 18 digests) must be byte-identical across legs.
+# `--test-threads=1` keeps the tests' printed lines from interleaving
+# mid-line.
+step "determinism matrix (BABOL_THREADS 1/2/8 x 6 digests)"
 for t in 1 2 8; do
   BABOL_THREADS=$t cargo test --offline -q --test determinism \
     thread_count_invariant -- --nocapture --test-threads=1 \
     | grep -o 'determinism-digest.*' | sort > "/tmp/babol_digests_$t.txt"
+  test "$(wc -l < "/tmp/babol_digests_$t.txt")" -eq 6
   echo "threads=$t:"
   cat "/tmp/babol_digests_$t.txt"
 done
 cmp /tmp/babol_digests_1.txt /tmp/babol_digests_2.txt
 cmp /tmp/babol_digests_1.txt /tmp/babol_digests_8.txt
-echo "determinism matrix: all legs byte-identical"
+echo "determinism matrix: 18/18 digests byte-identical"
 
 # The smoke run writes to a scratch path: the committed
 # results/BENCH_paper.json is the full-iteration baseline and a 2-iter

@@ -205,17 +205,18 @@ fn production_fio_digest(threads: usize, seed: u64) -> String {
     d.hex()
 }
 
-/// The metrics sidecar is pinned byte for byte: a fixed two-shard
-/// random-write job with a write-back cache and 50 µs windows, exported
-/// with one SLO verdict. Device frames carry latency histograms and shard
-/// frames carry none; neither how a frame stores its histogram nor how the
-/// hub allocates frames may change a byte of the export.
-#[test]
-fn metrics_sidecar_matches_golden_digest() {
+/// FNV-1a digest of the golden metrics sidecar (see
+/// [`metrics_sidecar_text`]).
+const METRICS_SIDECAR_DIGEST: u64 = 0xeb4d_48ef_f3a8_7a2d;
+
+/// The golden metrics sidecar: a fixed two-shard random-write job with a
+/// write-back cache and 50 µs windows on `threads` workers, exported with
+/// one SLO verdict.
+fn metrics_sidecar_text(threads: usize) -> String {
     use babol_sim::SimDuration;
     use babol_trace::{evaluate_slo, MetricsHub, MetricsSeries, SloSpec};
 
-    let mut cfg = MultiSsdConfig::tiny(2, 2);
+    let mut cfg = MultiSsdConfig::tiny(2, threads);
     cfg.preload = false;
     cfg.shard.cache_pages = 8;
     cfg.metrics_window = Some(SimDuration::from_micros(50));
@@ -232,8 +233,16 @@ fn metrics_sidecar_matches_golden_digest() {
     let series = MetricsSeries::from_shards(&device_hub, &shard_hubs);
     let spec = SloSpec::parse("p99<800us").expect("static spec");
     let verdict = evaluate_slo(&spec, &series.device, series.window_ps);
-    let text = series.to_json_lines(&[verdict]);
+    series.to_json_lines(&[verdict])
+}
 
+/// The metrics sidecar is pinned byte for byte. Device frames carry
+/// latency histograms and shard frames carry none; neither how the hub
+/// stores its windows nor how it materialises frames may change a byte
+/// of the export.
+#[test]
+fn metrics_sidecar_matches_golden_digest() {
+    let text = metrics_sidecar_text(2);
     let parsed = babol_trace::parse_metrics_lines(&text).expect("sidecar parses");
     assert_eq!(parsed.series.shards, 2);
     assert_eq!(parsed.series.merged_latency().count(), 200);
@@ -244,10 +253,30 @@ fn metrics_sidecar_matches_golden_digest() {
     }
     assert_eq!(
         babol_testkit::digest::fnv1a(text.as_bytes()),
-        0xeb4d_48ef_f3a8_7a2d,
+        METRICS_SIDECAR_DIGEST,
         "metrics sidecar bytes changed ({} bytes, {} lines)",
         text.len(),
         text.lines().count()
+    );
+}
+
+/// The golden sidecar run at this CI matrix leg's thread count: its bytes
+/// match the pinned digest, and the printed line joins the matrix
+/// comparison.
+#[test]
+fn metrics_sidecar_is_thread_count_invariant() {
+    let leg: usize = std::env::var("BABOL_THREADS")
+        .ok()
+        .and_then(|s| s.trim().parse().ok())
+        .unwrap_or(1);
+    let digest = babol_testkit::digest::fnv1a(metrics_sidecar_text(leg).as_bytes());
+    assert_eq!(
+        digest, METRICS_SIDECAR_DIGEST,
+        "matrix leg threads={leg} diverged from the golden sidecar"
+    );
+    println!(
+        "determinism-digest mode=metrics seed={:#018x} digest={digest:016x}",
+        0x51DE
     );
 }
 

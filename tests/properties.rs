@@ -1055,10 +1055,7 @@ fn metrics_windows_merge_to_whole_run_histogram() {
             for p in [50.0, 95.0, 99.0, 100.0] {
                 prop_assert_eq!(merged.percentile(p), direct.percentile(p));
             }
-            prop_assert_eq!(
-                hub.frames().iter().map(|f| f.ops).sum::<u64>(),
-                obs.len() as u64
-            );
+            prop_assert_eq!(hub.frames().map(|f| f.ops).sum::<u64>(), obs.len() as u64);
             Ok(())
         },
     );
@@ -1098,7 +1095,7 @@ fn metrics_frames_partition_sim_time_exactly() {
                     },
                 );
             }
-            let frames = hub.frames();
+            let frames: Vec<_> = hub.frames().collect();
             let last = steps.iter().map(|&(at, _)| at).max().unwrap();
             prop_assert_eq!(frames.len() as u64, last / w + 1);
             for (i, f) in frames.iter().enumerate() {
@@ -1117,6 +1114,223 @@ fn metrics_frames_partition_sim_time_exactly() {
                 prop_assert!(f.start(window).as_picos() <= at && at < f.end(window).as_picos());
             }
             prop_assert_eq!(frames.iter().map(|f| f.energy_pj).sum::<u64>(), total);
+            Ok(())
+        },
+    );
+}
+
+/// The frame store the metrics hub used before its column lanes: one
+/// `MetricsFrame` struct per window in a `Vec`, grown on demand. It is the
+/// reference model for `metrics_hub_lanes_match_frame_vector_model`.
+mod frame_vec_hub {
+    use babol_sim::{SimDuration, SimTime};
+    use babol_trace::{Histogram, MetricsFrame, MetricsSnapshot};
+
+    pub struct FrameVecHub {
+        pub window_ps: u64,
+        pub end_ps: u64,
+        pub frames: Vec<MetricsFrame>,
+        primed: bool,
+        base: MetricsSnapshot,
+    }
+
+    impl FrameVecHub {
+        pub fn new(window_ps: u64) -> Self {
+            FrameVecHub {
+                window_ps,
+                end_ps: 0,
+                frames: Vec::new(),
+                primed: false,
+                base: MetricsSnapshot::default(),
+            }
+        }
+
+        fn frame_at(&mut self, at: SimTime) -> &mut MetricsFrame {
+            let at_ps = at.as_picos();
+            let idx = (at_ps / self.window_ps) as usize;
+            while self.frames.len() <= idx {
+                let mut frame = MetricsFrame::default();
+                frame.index = self.frames.len() as u64;
+                self.frames.push(frame);
+            }
+            self.end_ps = self.end_ps.max(at_ps);
+            &mut self.frames[idx]
+        }
+
+        pub fn prime(&mut self, snap: &MetricsSnapshot) {
+            if !self.primed {
+                self.base = *snap;
+                self.primed = true;
+            }
+        }
+
+        pub fn sample(&mut self, now: SimTime, snap: &MetricsSnapshot) {
+            self.prime(snap);
+            let base = self.base;
+            let f = self.frame_at(now);
+            f.cache_hits += snap.cache_hits - base.cache_hits;
+            f.cache_misses += snap.cache_misses - base.cache_misses;
+            f.cache_dirty_evicts += snap.cache_dirty_evicts - base.cache_dirty_evicts;
+            f.gc_cycles += snap.gc_cycles - base.gc_cycles;
+            f.energy_pj += snap.energy_pj - base.energy_pj;
+            f.wear_migrations += snap.wear_migrations - base.wear_migrations;
+            f.blocks_retired += snap.blocks_retired - base.blocks_retired;
+            f.queue_depth = snap.queue_depth;
+            f.cache_dirty = snap.cache_dirty;
+            f.cache_len = snap.cache_len;
+            f.free_blocks = snap.free_blocks;
+            f.wear_spread = snap.wear_spread;
+            self.base = *snap;
+        }
+
+        pub fn observe_latency(&mut self, at: SimTime, latency: SimDuration) {
+            let f = self.frame_at(at);
+            f.ops += 1;
+            f.record_latency(latency);
+        }
+
+        pub fn note_op(&mut self, at: SimTime) {
+            self.frame_at(at).ops += 1;
+        }
+
+        pub fn touch(&mut self, at: SimTime) {
+            self.frame_at(at);
+        }
+
+        pub fn merged_latency(&self) -> Histogram {
+            let mut h = Histogram::new();
+            for f in &self.frames {
+                h.merge(f.lat());
+            }
+            h
+        }
+    }
+}
+
+/// The column-lane hub is exact: driven by the same random stream of
+/// `note_op`, `observe_latency`, `sample`, `touch` and `prime` calls as a
+/// `Vec<MetricsFrame>` model, it materialises identical frames, merges to
+/// an identical histogram and exports identical `babol-metrics-v1` bytes.
+/// The stream lands in random (so mostly out-of-order) windows, draws
+/// values at every lane width boundary, and ends with two `u64::MAX`
+/// latencies in window 0, whose sum only a u128 cell holds.
+#[test]
+fn metrics_hub_lanes_match_frame_vector_model() {
+    use babol_trace::{MetricsHub, MetricsSeries, MetricsSnapshot};
+    use frame_vec_hub::FrameVecHub;
+    const EDGES: [u64; 10] = [
+        0,
+        1,
+        255,
+        256,
+        65_535,
+        65_536,
+        4_294_967_295,
+        4_294_967_296,
+        u64::MAX - 1,
+        u64::MAX,
+    ];
+    Property::new("metrics_hub_lanes_match_frame_vector_model").run(
+        (
+            select(&[1_000u64, 7_000, 52_429, 1_000_000]),
+            vec_of(
+                (
+                    range(0u8..5),
+                    range(0u64..2_000_000),
+                    select(&EDGES),
+                    any::<u64>(),
+                ),
+                0..96,
+            ),
+        ),
+        |(window_ps, steps)| {
+            let mut hub = MetricsHub::new(SimDuration::from_picos(*window_ps));
+            let mut model = FrameVecHub::new(*window_ps);
+            let mut snap = MetricsSnapshot::default();
+            let epilogue = [
+                (1u8, 0u64, u64::MAX, 0u64),
+                (1, 0, u64::MAX, 0),
+                (2, 0, 1, 0),
+            ];
+            for &(kind, at_ps, edge, raw) in steps.iter().chain(&epilogue) {
+                let at = SimTime::from_picos(at_ps);
+                match kind {
+                    0 => {
+                        hub.note_op(at);
+                        model.note_op(at);
+                    }
+                    1 => {
+                        let lat = SimDuration::from_picos(if raw % 3 == 2 { raw } else { edge });
+                        hub.observe_latency(at, lat);
+                        model.observe_latency(at, lat);
+                    }
+                    2 => {
+                        // Counters are cumulative, so deltas stay small
+                        // enough (< 2^40) to never overflow a u64 total;
+                        // gauges take the edge value truncated to u32.
+                        let delta = edge & ((1 << 40) - 1);
+                        let counters = [
+                            &mut snap.cache_hits,
+                            &mut snap.cache_misses,
+                            &mut snap.cache_dirty_evicts,
+                            &mut snap.gc_cycles,
+                            &mut snap.energy_pj,
+                            &mut snap.wear_migrations,
+                            &mut snap.blocks_retired,
+                        ];
+                        let n = counters.len() as u64;
+                        for (k, c) in counters.into_iter().enumerate() {
+                            if raw % n == k as u64 || raw % 2 == 0 {
+                                *c += delta;
+                            }
+                        }
+                        let gauges = [
+                            &mut snap.queue_depth,
+                            &mut snap.cache_dirty,
+                            &mut snap.cache_len,
+                            &mut snap.free_blocks,
+                            &mut snap.wear_spread,
+                        ];
+                        let g = (raw / n) as usize % gauges.len();
+                        for (k, v) in gauges.into_iter().enumerate() {
+                            if k == g || raw % 5 == 0 {
+                                *v = edge as u32;
+                            }
+                        }
+                        hub.sample(at, &snap);
+                        model.sample(at, &snap);
+                    }
+                    3 => {
+                        hub.touch(at);
+                        model.touch(at);
+                    }
+                    _ => {
+                        hub.prime(&snap);
+                        model.prime(&snap);
+                    }
+                }
+            }
+            prop_assert_eq!(hub.frame_count(), model.frames.len());
+            prop_assert_eq!(hub.end_ps(), model.end_ps);
+            for (f, m) in hub.frames().zip(&model.frames) {
+                prop_assert_eq!(format!("{f:?}"), format!("{m:?}"), "frame {}", m.index);
+            }
+            prop_assert_eq!(
+                format!("{:?}", hub.merged_latency()),
+                format!("{:?}", model.merged_latency())
+            );
+            prop_assert!(hub.merged_latency().sum_ps() > u128::from(u64::MAX));
+            let reference = MetricsSeries {
+                window_ps: model.window_ps,
+                shards: 1,
+                end_ps: model.end_ps,
+                device: model.frames.clone(),
+                per_shard: Vec::new(),
+            };
+            prop_assert_eq!(
+                MetricsSeries::from_hub(&hub).to_json_lines(&[]),
+                reference.to_json_lines(&[])
+            );
             Ok(())
         },
     );
